@@ -4,29 +4,29 @@ expansions, and golden-vector self-checks.
 Reports are line-delimited JSON: a header record (schema version, run
 configuration, timestamp), one record per parameter point, and a summary
 record with pass/fail counts and fitted constants.  Identical configuration
-and seed produce byte-identical reports except for the header timestamp.
+and seed produce byte-identical reports except for the header timestamp and
+each point's ``wall_time``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
+from typing import Callable
 
 import click
 import numpy as np
 
 from . import identities as idn
 from . import kernels as krn
+from .identities import IdentityId
 from .special_functions import (
     DEFAULT_POLICY,
     ModularPair,
-    TruncationPolicy,
     bernoulli_b22,
     dilog,
     hyperbolic_gamma,
@@ -35,84 +35,81 @@ from .special_functions import (
     qpoch_ratio_regularized,
     rogers_L,
 )
+from .weyl_series import operator_pentagon_sides
 
 SCHEMA_VERSION = 1
-
-_IDENTITIES = ("operator", "classical", "hyperbolic", "index", "gamma",
-               "equivalence", "beta")
 
 _OPERATOR_QS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))
 
 
-def _policy_from_options(product_tail_tol, quadrature_abs_tol,
-                         quadrature_rel_tol, sum_tail_tol,
-                         max_refinements) -> TruncationPolicy:
-    policy = DEFAULT_POLICY
-    overrides = {}
-    if product_tail_tol is not None:
-        overrides["product_tail_tol"] = product_tail_tol
-    if quadrature_abs_tol is not None:
-        overrides["quadrature_abs_tol"] = quadrature_abs_tol
-    if quadrature_rel_tol is not None:
-        overrides["quadrature_rel_tol"] = quadrature_rel_tol
-    if sum_tail_tol is not None:
-        overrides["sum_tail_tol"] = sum_tail_tol
-    if max_refinements is not None:
-        overrides["max_refinements"] = max_refinements
-    return replace(policy, **overrides) if overrides else policy
+@dataclass(frozen=True)
+class IdentityRow:
+    """How the ``verify`` command handles one identity.
+
+    ``load`` turns a JSONL parameter record into a point, ``sample`` draws
+    one from an rng, and ``verify(point, policy[, convention])`` checks it;
+    the convention is passed only when ``takes_convention`` is set.
+    """
+
+    load: Callable[[dict], object]
+    sample: Callable[[np.random.Generator], object]
+    verify: Callable[..., idn.VerificationReport]
+    takes_convention: bool
 
 
-def _sample_point(identity: str, rng: np.random.Generator):
-    if identity == "classical":
-        return {"x": float(rng.uniform(0.01, 0.99)),
-                "y": float(rng.uniform(0.01, 0.99))}
-    if identity == "hyperbolic":
-        return krn.sample_hyperbolic(rng)
-    if identity == "index":
-        return krn.sample_index(rng)
-    if identity == "gamma":
-        return krn.sample_gamma(rng)
-    if identity == "equivalence":
-        return krn.sample_gamma(rng, with_spins=False)
-    if identity == "beta":
-        return krn.sample_beta(rng)
-    raise ValueError(f"cannot sample points for identity {identity!r}")
+IDENTITY_TABLE = {
+    IdentityId.CLASSICAL: IdentityRow(
+        lambda rec: {"x": float(rec["x"]), "y": float(rec["y"])},
+        lambda rng: {"x": float(rng.uniform(0.01, 0.99)),
+                     "y": float(rng.uniform(0.01, 0.99))},
+        lambda point, policy: idn.verify_classical_pentagon(point["x"],
+                                                            point["y"]),
+        False),
+    IdentityId.HYPERBOLIC: IdentityRow(
+        krn.HyperbolicParams.from_record, krn.sample_hyperbolic,
+        idn.verify_pentagon_hyperbolic, False),
+    IdentityId.INDEX: IdentityRow(
+        krn.IndexParams.from_record, krn.sample_index,
+        idn.verify_pentagon_index, True),
+    IdentityId.GAMMA_SUM_INTEGRAL: IdentityRow(
+        krn.GammaParams.from_record, krn.sample_gamma,
+        idn.verify_pentagon_gamma, True),
+    IdentityId.EQUIVALENCE: IdentityRow(
+        krn.GammaParams.from_record,
+        lambda rng: krn.sample_gamma(rng, with_spins=False),
+        lambda point, policy: idn.equivalence_check_gamma_rhs(point),
+        False),
+    IdentityId.BETA_INTEGRAL: IdentityRow(
+        krn.BetaParams.from_record, krn.sample_beta,
+        idn.verify_pentagon_beta, True),
+}
 
 
-def _load_point(identity: str, rec: dict):
-    declared = rec.get("identity")
-    expected = {"equivalence": "gamma"}.get(identity, identity)
-    if declared is not None and declared != expected:
-        raise ValueError(
-            f"record declares identity {declared!r}, expected {expected!r}")
-    if identity == "classical":
-        return {"x": float(rec["x"]), "y": float(rec["y"])}
-    if identity == "hyperbolic":
-        return krn.HyperbolicParams.from_record(rec)
-    if identity == "index":
-        return krn.IndexParams.from_record(rec)
-    if identity in ("gamma", "equivalence"):
-        return krn.GammaParams.from_record(rec)
-    if identity == "beta":
-        return krn.BetaParams.from_record(rec)
-    raise ValueError(f"cannot load points for identity {identity!r}")
-
-
-def _verify_point(identity: str, point, policy: TruncationPolicy,
-                  convention: str) -> idn.VerificationReport:
-    if identity == "classical":
-        return idn.verify_classical_pentagon(point["x"], point["y"])
-    if identity == "hyperbolic":
-        return idn.verify_pentagon_hyperbolic(point, policy)
-    if identity == "index":
-        return idn.verify_pentagon_index(point, policy, convention)
-    if identity == "gamma":
-        return idn.verify_pentagon_gamma(point, policy, convention)
-    if identity == "equivalence":
-        return idn.equivalence_check_gamma_rhs(point)
-    if identity == "beta":
-        return idn.verify_pentagon_beta(point, policy, convention)
-    raise ValueError(f"unknown identity {identity!r}")
+def _load_points(identity: IdentityId, params_path: str) -> list:
+    """The points of a JSONL parameter file; a record may declare its
+    identity, which must be the one its parameters belong to."""
+    expected = ("gamma" if identity is IdentityId.EQUIVALENCE
+                else identity.value)
+    points = []
+    with open(params_path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+                declared = rec.get("identity")
+                if declared is not None and declared != expected:
+                    raise ValueError(f"record declares identity "
+                                     f"{declared!r}, expected {expected!r}")
+                points.append(IDENTITY_TABLE[identity].load(rec))
+            except (ValueError, KeyError) as exc:
+                raise click.ClickException(
+                    f"{params_path}:{lineno}: constraint violation or "
+                    f"parse error: {exc}") from exc
+    if not points:
+        raise click.ClickException(f"{params_path}: no parameter points")
+    return points
 
 
 def _emit(lines: list[str], report_path: str | None) -> None:
@@ -129,7 +126,9 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--identity", type=click.Choice(_IDENTITIES), required=True,
+@click.option("--identity", required=True,
+              type=click.Choice(["operator"]
+                                + [i.value for i in IDENTITY_TABLE]),
               help="Which identity to verify.")
 @click.option("--params", "params_path", type=click.Path(exists=True),
               default=None, help="JSONL file of parameter points.")
@@ -143,8 +142,6 @@ def main() -> None:
               default="resolved", show_default=True)
 @click.option("--report", "report_path", type=click.Path(), default=None,
               help="Write the JSONL report here as well as stdout.")
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker threads across parameter points.")
 @click.option("--max-degree", type=int, default=10, show_default=True,
               help="Truncation degree for the operator identity.")
 @click.option("--product-tail-tol", type=float, default=None)
@@ -153,70 +150,48 @@ def main() -> None:
 @click.option("--sum-tail-tol", type=float, default=None)
 @click.option("--max-refinements", type=int, default=None)
 def verify(identity, params_path, random_count, seed, tol, convention,
-           report_path, threads, max_degree, product_tail_tol,
-           quadrature_abs_tol, quadrature_rel_tol, sum_tail_tol,
-           max_refinements) -> None:
+           report_path, max_degree, **overrides) -> None:
     """Verify one identity over a set of parameter points."""
-    policy = _policy_from_options(product_tail_tol, quadrature_abs_tol,
-                                  quadrature_rel_tol, sum_tail_tol,
-                                  max_refinements)
+    policy = replace(DEFAULT_POLICY, **{name: value for name, value
+                                        in overrides.items()
+                                        if value is not None})
     if identity == "operator":
-        points = [{"q": str(q), "max_degree": max_degree}
-                  for q in _OPERATOR_QS]
         if params_path or random_count:
             raise click.UsageError(
                 "the operator identity runs its fixed rational-q set; "
                 "--params/--random do not apply")
-    elif params_path is not None and random_count is not None:
-        raise click.UsageError("use exactly one of --params or --random")
-    elif params_path is not None:
-        points = []
-        with open(params_path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    points.append(_load_point(identity, json.loads(line)))
-                except (ValueError, KeyError) as exc:
-                    raise click.ClickException(
-                        f"{params_path}:{lineno}: constraint violation or "
-                        f"parse error: {exc}") from exc
-        if not points:
-            raise click.ClickException(f"{params_path}: no parameter points")
+        takes_convention = False
+        reports = [idn.verify_operator_pentagon(max_degree, q)
+                   for q in _OPERATOR_QS]
     else:
-        count = 25 if random_count is None else random_count
-        if count < 1:
-            raise click.UsageError("--random must be at least 1")
-        rng = np.random.default_rng(seed)
-        points = [_sample_point(identity, rng) for _ in range(count)]
-
-    def run(indexed_point):
-        index, point = indexed_point
-        if identity == "operator":
-            rep = idn.verify_operator_pentagon(point["max_degree"],
-                                               Fraction(point["q"]))
+        identity_id = IdentityId(identity)
+        row = IDENTITY_TABLE[identity_id]
+        takes_convention = row.takes_convention
+        if params_path is not None and random_count is not None:
+            raise click.UsageError("use exactly one of --params or --random")
+        if params_path is not None:
+            points = _load_points(identity_id, params_path)
         else:
-            rep = _verify_point(identity, point, policy, convention)
-        if tol is not None:
-            rep = replace(rep, target=tol, passed=rep.rel_residual <= tol)
-        return index, rep
+            count = 25 if random_count is None else random_count
+            if count < 1:
+                raise click.UsageError("--random must be at least 1")
+            rng = np.random.default_rng(seed)
+            points = [row.sample(rng) for _ in range(count)]
+        extra = (convention,) if takes_convention else ()
+        reports = [row.verify(point, policy, *extra) for point in points]
+    if tol is not None:
+        reports = [replace(rep, target=tol, passed=rep.rel_residual <= tol)
+                   for rep in reports]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = sorted(pool.map(run, enumerate(points)))
-    else:
-        results = [run(item) for item in enumerate(points)]
-
-    reports = [rep for _, rep in results]
     lines = [json.dumps({
         "schema_version": SCHEMA_VERSION, "kind": "run_header",
         "command": "verify", "identity": identity, "seed": seed,
-        "convention": convention, "points": len(reports),
+        "convention": convention if takes_convention else None,
+        "points": len(reports),
         "generator": "numpy.random.default_rng(PCG64)",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     })]
-    for index, rep in results:
+    for index, rep in enumerate(reports):
         lines.append(json.dumps(
             {"kind": "point", "index": index, **rep.to_record()}))
 
@@ -275,13 +250,7 @@ def expand_operator(max_degree, q_string) -> None:
         raise click.UsageError(f"malformed rational {q_string!r}") from exc
     if not 0 < q < 1:
         raise click.UsageError(f"q must satisfy 0 < q < 1, got {q}")
-    from .weyl_series import Generator, quantum_dilog_series, series_multiply
-
-    lx = quantum_dilog_series(Generator.X, max_degree, q)
-    ly = quantum_dilog_series(Generator.Y, max_degree, q)
-    lxy = quantum_dilog_series(Generator.NEG_XY, max_degree, q)
-    lhs = series_multiply(ly, lx)
-    rhs = series_multiply(series_multiply(lx, lxy), ly)
+    lhs, rhs = operator_pentagon_sides(max_degree, q)
     diff = lhs - rhs
 
     def dump(title, series):

@@ -3,17 +3,20 @@ plus the two gamma-function limit studies.
 
 Conventions
 -----------
-Every verifier accepts ``convention="resolved"`` (default) or
-``convention="printed"``.  The printed forms of the index and gamma
-sum-integral identities are off by sign factors: the resolved forms insert
-an alternating weight (-1)^m into the integer sum and a global (-1)^{n_3}
-on the product side, and with those signs the identities hold to quadrature
-accuracy at every balanced parameter point, for all zero-sum spins.  The
-printed forms (no signs) exhibit a parameter-dependent deficit at the
-percent level; verifying them is supported so that the discrepancy can be
-reproduced and reported.  The printed Euler-beta form differs from the
-resolved one (Barnes' second lemma) by the reflection factor
-pi / sin pi(b_3 - s) inside the integral and fails at every sampled point.
+The index, gamma and beta evaluators and verifiers accept
+``convention="resolved"`` (default) or ``convention="printed"``; the
+operator, classical and hyperbolic verifiers and the gamma product-side
+equivalence check have a single form and take none.  The printed forms of
+the index and gamma sum-integral identities are off by sign factors: the
+resolved forms insert an alternating weight (-1)^m into the integer sum and
+a global (-1)^{n_3} on the product side, and with those signs the
+identities hold to quadrature accuracy at every balanced parameter point,
+for all zero-sum spins.  The printed forms (no signs) exhibit a
+parameter-dependent deficit at the percent level; verifying them is
+supported so that the discrepancy can be reproduced and reported.  The
+printed Euler-beta form differs from the resolved one (Barnes' second
+lemma) by the reflection factor pi / sin pi(b_3 - s) inside the integral
+and fails at every sampled point.
 
 The gamma sum-integral comes in two kernel flavours sharing one integrand
 skeleton: the SPHERE kernel is the product of the two reflected gamma
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -49,7 +52,6 @@ from .kernels import (
     b_gamma_disc,
     b_hyp,
     b_idx,
-    log_b_gamma_disc,
 )
 from .special_functions import (
     DEFAULT_POLICY,
@@ -156,9 +158,10 @@ class VerificationReport:
 
 
 def _residuals(lhs: complex, rhs: complex) -> tuple[float, float]:
-    abs_res = abs(lhs - rhs)
+    # Python floats: a numpy bool_ in ``passed`` would not serialize to JSON
+    abs_res = float(abs(lhs - rhs))
     rel_res = abs_res / max(abs(lhs), abs(rhs), _RESIDUAL_FLOOR)
-    return abs_res, rel_res
+    return abs_res, float(rel_res)
 
 
 def _make_report(identity_id: IdentityId, parameters: dict, lhs: complex,
@@ -178,6 +181,28 @@ def _make_report(identity_id: IdentityId, parameters: dict, lhs: complex,
         wall_time=time.perf_counter() - started,
         **extra,
     )
+
+
+def _sum_of_integrals(integrate_term, policy: TruncationPolicy,
+                      ) -> QuadratureResult:
+    """Sum over integers m of the integrals ``integrate_term(m)``.
+
+    The result is the outer sum's, except that it counts the evaluations of
+    all inner integrals and reports the larger of the outer and the largest
+    inner tail estimate.
+    """
+    evaluations, inner_tail = 0, 0.0
+
+    def term(m_sum: int) -> complex:
+        nonlocal evaluations, inner_tail
+        res = integrate_term(m_sum)
+        evaluations += res.evaluations
+        inner_tail = max(inner_tail, res.tail_estimate)
+        return res.value
+
+    outer = sum_over_integers(term, policy)
+    return replace(outer, evaluations=evaluations,
+                   tail_estimate=max(outer.tail_estimate, inner_tail))
 
 
 # ---------------------------------------------------------------------------
@@ -343,25 +368,11 @@ def eval_index_lhs(p: IndexParams, policy: TruncationPolicy = DEFAULT_POLICY,
     weight +1 and reproduces the deficit of the unsigned form.
     """
     signed = _check_convention(convention)
-    inner_diagnostics = {"evaluations": 0, "max_refinements_used": 0}
-
-    def term(m_sum: int) -> complex:
-        f = _index_term_integrand(p, m_sum, signed, policy)
-        res = integrate_unit_circle(f, num_points=64, policy=policy)
-        inner_diagnostics["evaluations"] += res.evaluations
-        inner_diagnostics["max_refinements_used"] = max(
-            inner_diagnostics["max_refinements_used"], res.refinements_used)
-        return res.value
-
-    outer = sum_over_integers(term, policy)
-    return QuadratureResult(
-        value=outer.value,
-        abs_error_estimate=outer.abs_error_estimate,
-        evaluations=inner_diagnostics["evaluations"],
-        refinements_used=outer.refinements_used,
-        tail_estimate=outer.tail_estimate,
-        converged=outer.converged,
-    )
+    return _sum_of_integrals(
+        lambda m_sum: integrate_unit_circle(
+            _index_term_integrand(p, m_sum, signed, policy), num_points=64,
+            policy=policy),
+        policy)
 
 
 def eval_index_rhs(p: IndexParams, form: str = "TWO_B",
@@ -489,29 +500,13 @@ def eval_gamma_lhs(p: GammaParams, policy: TruncationPolicy = DEFAULT_POLICY,
     """
     signed = _check_convention(convention)
     gamma2 = _check_kernel_form(kernel_form)
-    inner = {"evaluations": 0, "max_refinements_used": 0,
-             "max_tail_estimate": 0.0}
-
-    def term(m_sum: int) -> complex:
-        f = _gamma_term_integrand(p, m_sum, signed)
-        res = integrate_real_line(f, policy)
-        inner["evaluations"] += res.evaluations
-        inner["max_refinements_used"] = max(inner["max_refinements_used"],
-                                            res.refinements_used)
-        inner["max_tail_estimate"] = max(inner["max_tail_estimate"],
-                                         res.tail_estimate)
-        return res.value
-
-    outer = sum_over_integers(term, policy)
-    value = outer.value * gamma_reflection_factor(p) if gamma2 else outer.value
-    return QuadratureResult(
-        value=value,
-        abs_error_estimate=outer.abs_error_estimate,
-        evaluations=inner["evaluations"],
-        refinements_used=outer.refinements_used,
-        tail_estimate=max(outer.tail_estimate, inner["max_tail_estimate"]),
-        converged=outer.converged,
-    )
+    result = _sum_of_integrals(
+        lambda m_sum: integrate_real_line(
+            _gamma_term_integrand(p, m_sum, signed), policy),
+        policy)
+    if gamma2:
+        return replace(result, value=result.value * gamma_reflection_factor(p))
+    return result
 
 
 def eval_gamma_rhs(p: GammaParams, form: str = "TWO_B") -> complex:

@@ -10,7 +10,7 @@ answer came from extrapolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
@@ -53,22 +53,6 @@ class QuadratureResult:
         }
 
 
-def _vectorized(f):
-    """Wrap a scalar-only integrand so it accepts numpy arrays."""
-    def wrapped(u):
-        u = np.asarray(u)
-        try:
-            out = f(u)
-            out = np.asarray(out, dtype=complex)
-            if out.shape == u.shape:
-                return out
-        except (TypeError, ValueError):
-            pass
-        return np.array([f(v) for v in u.ravel()],
-                        dtype=complex).reshape(u.shape)
-    return wrapped
-
-
 def _tune_scale(f, probe=(0.5, 1.0, 2.0, 4.0, 8.0, 16.0)) -> float:
     """Pick the tan-map scale L near where the integrand has lost most of
     its mass, so nodes concentrate on the support."""
@@ -80,6 +64,34 @@ def _tune_scale(f, probe=(0.5, 1.0, 2.0, 4.0, 8.0, 16.0)) -> float:
         if np.max(np.abs(vals)) < 0.1 * center:
             return max(float(u), 1.0)
     return float(probe[-1])
+
+
+def _refine(level, n0: int, policy: TruncationPolicy) -> QuadratureResult:
+    """Evaluate ``level(n)``, a quadrature rule on n nodes, at n = n0, 2 n0,
+    4 n0, ... until two successive levels agree to
+    max(abs_tol, rel_tol * |value|) or ``policy.max_refinements`` doublings
+    are spent.  The error estimate is the last difference between levels."""
+    n = n0
+    prev = level(n)
+    evaluations = n
+    for refinements in range(1, policy.max_refinements + 1):
+        n *= 2
+        value = level(n)
+        evaluations += n
+        err = abs(value - prev)
+        prev = value
+        converged = err < max(policy.quadrature_abs_tol,
+                              policy.quadrature_rel_tol * abs(value))
+        if converged:
+            break
+    return QuadratureResult(
+        value=value,
+        abs_error_estimate=float(err),
+        evaluations=evaluations,
+        refinements_used=refinements,
+        tail_estimate=0.0,
+        converged=converged,
+    )
 
 
 def integrate_real_line(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
@@ -94,64 +106,39 @@ def integrate_real_line(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
     c |u|^{-p} anchored at the outermost nodes, and the correction size is
     reported as ``tail_estimate``.
     """
-    f = _vectorized(integrand)
-    L = _tune_scale(f) if scale is None else float(scale)
+    L = _tune_scale(integrand) if scale is None else float(scale)
     theta_max = math.atan(u_max / L)
-    evaluations = 0
 
     def level(num_points: int) -> complex:
-        nonlocal evaluations
         h = 2 * theta_max / num_points
         theta = -theta_max + (np.arange(num_points) + 0.5) * h
         u = L * np.tan(theta)
         w = L / np.cos(theta) ** 2 * h
-        vals = f(u)
-        evaluations += num_points
-        return complex(np.sum(vals * w))
+        return complex(np.sum(np.asarray(integrand(u), dtype=complex) * w))
 
-    n = 64
-    prev = level(n)
-    refinements = 0
-    err = math.inf
-    value = prev
-    for refinements in range(1, policy.max_refinements + 1):
-        n *= 2
-        value = level(n)
-        err = abs(value - prev)
-        tol = max(policy.quadrature_abs_tol,
-                  policy.quadrature_rel_tol * abs(value))
-        prev = value
-        if err < tol:
-            break
-    converged = err < max(policy.quadrature_abs_tol,
-                          policy.quadrature_rel_tol * abs(value))
+    grid = _refine(level, 64, policy)
 
     # power-law tail beyond |u| = u_max:  integral_{U}^{inf} c u^{-p} du
     # = f(U) * U / (p - 1), with p fitted from the outer decade of nodes
     tail = 0.0 + 0.0j
     for sign in (-1.0, 1.0):
         u_far = sign * np.array([u_max / 4, u_max / 2, u_max]) * 0.999
-        vals = np.asarray(f(u_far), dtype=complex)
-        evaluations += 3
+        vals = np.asarray(integrand(u_far), dtype=complex)
         mags = np.abs(vals)
         if mags[-1] == 0 or not np.all(np.isfinite(mags)) or np.any(mags == 0):
             continue
         p = -np.polyfit(np.log(np.abs(u_far)), np.log(mags), 1)[0]
         if p > 1.2:
             tail += vals[-1] * u_max / (p - 1)
-    value = value + tail
 
     # The fitted power law is only accurate to a few percent, so a slice of
     # the tail correction is charged to the reported uncertainty.
-    err = err + 0.05 * abs(tail)
-
-    return QuadratureResult(
-        value=value,
-        abs_error_estimate=float(err),
-        evaluations=evaluations,
-        refinements_used=refinements,
+    return replace(
+        grid,
+        value=grid.value + tail,
+        abs_error_estimate=float(grid.abs_error_estimate + 0.05 * abs(tail)),
+        evaluations=grid.evaluations + 6,  # three tail nodes per side
         tail_estimate=float(abs(tail)),
-        converged=converged,
     )
 
 
@@ -167,39 +154,12 @@ def integrate_unit_circle(integrand, num_points: int = 64,
     """
     if num_points < 1 or num_points & (num_points - 1):
         raise ValueError("num_points must be a positive power of two")
-    f = _vectorized(integrand)
-    evaluations = 0
 
     def level(n: int) -> complex:
-        nonlocal evaluations
         z = np.exp(2j * np.pi * np.arange(n) / n)
-        evaluations += n
-        return complex(np.mean(f(z)))
+        return complex(np.mean(np.asarray(integrand(z), dtype=complex)))
 
-    n = num_points
-    prev = level(n)
-    value = prev
-    err = math.inf
-    refinements = 0
-    for refinements in range(1, policy.max_refinements + 1):
-        n *= 2
-        value = level(n)
-        err = abs(value - prev)
-        tol = max(policy.quadrature_abs_tol,
-                  policy.quadrature_rel_tol * abs(value))
-        prev = value
-        if err < tol:
-            break
-    converged = err < max(policy.quadrature_abs_tol,
-                          policy.quadrature_rel_tol * abs(value))
-    return QuadratureResult(
-        value=value,
-        abs_error_estimate=float(err),
-        evaluations=evaluations,
-        refinements_used=refinements,
-        tail_estimate=0.0,
-        converged=converged,
-    )
+    return _refine(level, num_points, policy)
 
 
 def _averaged_partials(partials: list) -> complex:

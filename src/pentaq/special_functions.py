@@ -13,7 +13,7 @@ no global state, safe to call from multiple threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import loggamma as _scipy_loggamma
@@ -87,10 +87,6 @@ class ModularPair:
     @property
     def omega_sum(self) -> complex:
         return self.omega1 + self.omega2
-
-    def swapped(self) -> "ModularPair":
-        """The pair with omega1 and omega2 exchanged (needs Im(w2/w1) > 0)."""
-        return ModularPair(self.omega2, self.omega1)
 
 
 @dataclass(frozen=True)
@@ -179,8 +175,9 @@ def gamma(z):
 # ---------------------------------------------------------------------------
 
 def _qpoch_num_factors(a_max: float, q_abs: float, policy: TruncationPolicy) -> int:
-    """Number of factors so that |a q^K| < product_tail_tol."""
-    if a_max == 0:
+    """Number of factors so that |a q^K| < product_tail_tol (one factor,
+    1 - a, when a or q vanishes)."""
+    if a_max == 0 or q_abs == 0:
         return 1
     target = policy.product_tail_tol / max(a_max, policy.product_tail_tol)
     if target >= 1.0:
@@ -202,9 +199,6 @@ def qpoch_inf(a, q, policy: TruncationPolicy = DEFAULT_POLICY):
     if abs(qv) >= 1:
         raise ValueError(f"(a;q)_inf requires |q| < 1, got |q| = {abs(qv)}")
     arr = np.asarray(a, dtype=complex)
-    if abs(qv) == 0:
-        out = 1 - arr
-        return complex(out) if arr.ndim == 0 else out
     amax = float(np.max(np.abs(arr))) if arr.size else 0.0
     K = _qpoch_num_factors(amax, abs(qv), policy)
     powers = qv ** np.arange(K)

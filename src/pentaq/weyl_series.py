@@ -18,6 +18,7 @@ __all__ = [
     "NormalOrderedSeries",
     "series_multiply",
     "quantum_dilog_series",
+    "operator_pentagon_sides",
     "check_operator_pentagon",
     "OperatorPentagonReport",
 ]
@@ -67,10 +68,6 @@ class NormalOrderedSeries:
         object.__setattr__(self, "q", q)
 
     @classmethod
-    def one(cls, max_degree: int, q) -> "NormalOrderedSeries":
-        return cls({(0, 0): Fraction(1)}, max_degree, q)
-
-    @classmethod
     def monomial(cls, a: int, b: int, max_degree: int, q,
                  coeff=Fraction(1)) -> "NormalOrderedSeries":
         return cls({(a, b): coeff}, max_degree, q)
@@ -118,13 +115,6 @@ class NormalOrderedSeries:
             raise ValueError("mismatched max_degree")
 
 
-def _q_power(q, exponent: int):
-    """q**exponent with exact Fractions surviving negative exponents."""
-    if isinstance(q, Fraction):
-        return q ** exponent
-    return q ** exponent
-
-
 def series_multiply(lhs: NormalOrderedSeries,
                     rhs: NormalOrderedSeries) -> NormalOrderedSeries:
     """Product of two normal-ordered series, truncated to max_degree.
@@ -140,7 +130,7 @@ def series_multiply(lhs: NormalOrderedSeries,
             if a + c + b + d > deg:
                 continue
             key = (a + c, b + d)
-            coeff = cl * cr * _q_power(q, -b * c)
+            coeff = cl * cr * q ** (-b * c)
             out[key] = out.get(key, Fraction(0)) + coeff
     return NormalOrderedSeries(out, deg, q)
 
@@ -149,7 +139,7 @@ def _qfact(q, n: int):
     """(q; q)_n by finite recurrence (exact for rational q)."""
     prod = Fraction(1) if isinstance(q, Fraction) else 1.0 + 0j
     for k in range(1, n + 1):
-        prod = prod * (1 - _q_power(q, k))
+        prod = prod * (1 - q ** k)
     return prod
 
 
@@ -166,7 +156,7 @@ def quantum_dilog_series(generator: Generator, max_degree: int,
     q = _coerce(q)
     coeffs: dict[tuple[int, int], object] = {}
     for n in range(max_degree + 1):
-        c = (-1) ** n * _q_power(q, n * (n + 1) // 2) / _qfact(q, n)
+        c = (-1) ** n * q ** (n * (n + 1) // 2) / _qfact(q, n)
         if generator is Generator.X:
             key = (n, 0)
         elif generator is Generator.Y:
@@ -175,11 +165,22 @@ def quantum_dilog_series(generator: Generator, max_degree: int,
             if 2 * n > max_degree:
                 break
             key = (n, n)
-            c = c * (-1) ** n * _q_power(q, -(n * (n - 1) // 2))
+            c = c * (-1) ** n * q ** -(n * (n - 1) // 2)
         else:  # pragma: no cover - enum is exhaustive
             raise ValueError(f"unknown generator {generator}")
         coeffs[key] = c
     return NormalOrderedSeries(coeffs, max_degree, q)
+
+
+def operator_pentagon_sides(max_degree: int, q) -> tuple[
+        NormalOrderedSeries, NormalOrderedSeries]:
+    """Both sides of the operator pentagon, l(y) l(x) and l(x) l(-xy) l(y),
+    truncated to total degree max_degree."""
+    lx = quantum_dilog_series(Generator.X, max_degree, q)
+    ly = quantum_dilog_series(Generator.Y, max_degree, q)
+    lxy = quantum_dilog_series(Generator.NEG_XY, max_degree, q)
+    return (series_multiply(ly, lx),
+            series_multiply(series_multiply(lx, lxy), ly))
 
 
 @dataclass(frozen=True)
@@ -207,11 +208,7 @@ def check_operator_pentagon(max_degree: int, q) -> OperatorPentagonReport:
     q = _coerce(q)
     if isinstance(q, Fraction) and not 0 < q < 1:
         raise ValueError(f"need 0 < q < 1, got {q}")
-    lx = quantum_dilog_series(Generator.X, max_degree, q)
-    ly = quantum_dilog_series(Generator.Y, max_degree, q)
-    lxy = quantum_dilog_series(Generator.NEG_XY, max_degree, q)
-    lhs = series_multiply(ly, lx)
-    rhs = series_multiply(series_multiply(lx, lxy), ly)
+    lhs, rhs = operator_pentagon_sides(max_degree, q)
     diff = lhs - rhs
     return OperatorPentagonReport(
         q=q,

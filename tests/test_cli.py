@@ -5,8 +5,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from pentaq.cli import main
-from pentaq.kernels import IndexParams, sample_index
+from pentaq.cli import IDENTITY_TABLE, main
+from pentaq.kernels import sample_index
 
 
 @pytest.fixture
@@ -49,11 +49,14 @@ class TestVerify:
                                    "--params", str(f), "--random", "3"])
         assert res.exit_code != 0
 
-    def test_params_file_round_trip(self, runner, tmp_path, rng):
-        pts = [sample_index(rng) for _ in range(2)]
+    @pytest.mark.parametrize("identity", list(IDENTITY_TABLE),
+                             ids=lambda identity: identity.value)
+    def test_params_file_round_trip(self, runner, tmp_path, rng, identity):
+        pts = [IDENTITY_TABLE[identity].sample(rng) for _ in range(2)]
+        recs = [p if isinstance(p, dict) else p.to_record() for p in pts]
         f = tmp_path / "pts.jsonl"
-        f.write_text("".join(json.dumps(p.to_record()) + "\n" for p in pts))
-        res = runner.invoke(main, ["verify", "--identity", "index",
+        f.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+        res = runner.invoke(main, ["verify", "--identity", identity.value,
                                    "--params", str(f)])
         assert res.exit_code == 0, res.output
         points = [r for r in jsonl(res.output) if r["kind"] == "point"]
@@ -81,17 +84,34 @@ class TestVerify:
     def test_deterministic_for_seed(self, runner):
         args = ["verify", "--identity", "index", "--random", "3",
                 "--seed", "11"]
-        out1 = runner.invoke(main, args).output
-        out2 = runner.invoke(main, args).output
-        pts1 = [r for r in jsonl(out1) if r["kind"] == "point"]
-        pts2 = [r for r in jsonl(out2) if r["kind"] == "point"]
-        assert [p["parameters"] for p in pts1] == \
-            [p["parameters"] for p in pts2]
+
+        def records():
+            recs = jsonl(runner.invoke(main, args).output)
+            for rec in recs:
+                rec.pop("timestamp", None)
+                rec.pop("wall_time", None)
+            return recs
+
+        first = records()
+        assert [r["kind"] for r in first].count("point") == 3
+        assert first == records()
 
     def test_tol_override_can_force_failure(self, runner):
         res = runner.invoke(main, ["verify", "--identity", "hyperbolic",
                                    "--random", "1", "--tol", "1e-30"])
-        assert res.exit_code == 1
+        assert res.exit_code == 1, res.output
+        summary = jsonl(res.output)[-1]
+        assert summary["kind"] == "summary"
+        assert summary["failed"] == 1
+
+    @pytest.mark.parametrize("identity, convention",
+                             [("classical", None), ("index", "resolved")])
+    def test_header_records_convention_only_where_used(self, runner,
+                                                       identity, convention):
+        res = runner.invoke(main, ["verify", "--identity", identity,
+                                   "--random", "1"])
+        assert res.exit_code == 0, res.output
+        assert jsonl(res.output)[0]["convention"] == convention
 
     def test_report_file_written(self, runner, tmp_path):
         out = tmp_path / "report.jsonl"
@@ -101,16 +121,6 @@ class TestVerify:
         records = [json.loads(line) for line in
                    out.read_text().strip().splitlines()]
         assert records[0]["kind"] == "run_header"
-
-    def test_threads_give_same_results(self, runner):
-        base = ["verify", "--identity", "gamma", "--random", "3",
-                "--seed", "4"]
-        seq = runner.invoke(main, base)
-        par = runner.invoke(main, base + ["--threads", "3"])
-        assert seq.exit_code == par.exit_code == 0
-        sp = [r for r in jsonl(seq.output) if r["kind"] == "point"]
-        pp = [r for r in jsonl(par.output) if r["kind"] == "point"]
-        assert [p["lhs"] for p in sp] == [p["lhs"] for p in pp]
 
 
 class TestLimitStudy:

@@ -1,0 +1,43 @@
+"""Source hygiene: every name a pentaq module imports is used there."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "pentaq"
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by imports that the module neither reads nor lists in
+    ``__all__``."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert unused_imports(tree) == []
+
+
+def test_checker_flags_an_unused_import():
+    tree = ast.parse("import math\nfrom os import path, sep\n"
+                     "__all__ = ['sep']\n")
+    assert unused_imports(tree) == ["math (line 1)", "path (line 2)"]

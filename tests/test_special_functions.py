@@ -111,6 +111,13 @@ class TestQPochhammer:
         assert qpoch_inf(0.0, 0.7) == pytest.approx(1.0)
         assert qpoch_inf(0.3, 0.0) == pytest.approx(0.7)
 
+    def test_zero_nome_is_one_factor(self):
+        # (a; 0)_inf = 1 - a, in both the product and the log-space form
+        assert log_qpoch_inf(0.3 - 0.2j, 0.0) == np.log(1 - (0.3 - 0.2j))
+        a = np.array([0.3, -0.5 + 1j, 0.0])
+        assert np.array_equal(log_qpoch_inf(a, 0j), np.log(1 - a))
+        assert np.array_equal(qpoch_inf(a, 0.0), 1 - a)
+
     def test_euler_function_half(self):
         expected = float(mp.qp(mp.mpf("0.5"), mp.mpf("0.5")))
         assert qpoch_inf(0.5, 0.5).real == pytest.approx(expected, rel=1e-14)
