@@ -17,7 +17,6 @@ Layers:
 
 from .special_functions import (
     ModularPair,
-    Nome,
     TruncationPolicy,
     DEFAULT_POLICY,
     PoleError,
@@ -39,7 +38,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ModularPair",
-    "Nome",
     "TruncationPolicy",
     "DEFAULT_POLICY",
     "PoleError",

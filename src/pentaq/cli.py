@@ -57,9 +57,16 @@ class IdentityRow:
     takes_convention: bool
 
 
+def _classical_point(rec: dict) -> dict:
+    x, y = float(rec["x"]), float(rec["y"])
+    if not (0 < x < 1 and 0 < y < 1):
+        raise ValueError(f"(x, y) must lie in (0,1)^2, got ({x}, {y})")
+    return {"x": x, "y": y}
+
+
 IDENTITY_TABLE = {
     IdentityId.CLASSICAL: IdentityRow(
-        lambda rec: {"x": float(rec["x"]), "y": float(rec["y"])},
+        _classical_point,
         lambda rng: {"x": float(rng.uniform(0.01, 0.99)),
                      "y": float(rng.uniform(0.01, 0.99))},
         lambda point, policy: idn.verify_classical_pentagon(point["x"],
@@ -142,7 +149,8 @@ def main() -> None:
               default="resolved", show_default=True)
 @click.option("--report", "report_path", type=click.Path(), default=None,
               help="Write the JSONL report here as well as stdout.")
-@click.option("--max-degree", type=int, default=10, show_default=True,
+@click.option("--max-degree", type=click.IntRange(min=1), default=10,
+              show_default=True,
               help="Truncation degree for the operator identity.")
 @click.option("--product-tail-tol", type=float, default=None)
 @click.option("--quadrature-abs-tol", type=float, default=None)
@@ -225,8 +233,8 @@ def limit_study(kind, seed, report_path) -> None:
         params = p.to_record()
     else:
         result = idn.limit_study_omega()
-        params = {"omega1": 1.0, "z_values": [0.17, 0.3, 0.42],
-                  "T_sequence": [5.0, 10.0, 20.0]}
+        params = {"omega1": 1.0, "z_values": list(idn.OMEGA_Z_VALUES),
+                  "T_sequence": list(idn.OMEGA_T_SEQUENCE)}
     lines = [json.dumps({
         "schema_version": SCHEMA_VERSION, "kind": "run_header",
         "command": "limit-study", "study": kind, "seed": seed,

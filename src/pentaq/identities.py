@@ -18,14 +18,14 @@ printed Euler-beta form differs from the resolved one (Barnes' second
 lemma) by the reflection factor pi / sin pi(b_3 - s) inside the integral
 and fails at every sampled point.
 
-The gamma sum-integral comes in two kernel flavours sharing one integrand
-skeleton: the SPHERE kernel is the product of the two reflected gamma
-blocks, and the GAMMA2 kernel multiplies in a third, (u, m)-independent
-reflection ratio.  Consequently LHS(GAMMA2) = T * LHS(SPHERE) exactly,
-where T is the diagonal reflection factor returned by
-:func:`gamma_reflection_factor`.  The two printed product sides (nine-factor
-form and two-kernel form) are related by that same factor T when all spins
-vanish; with nonzero spins only the two-kernel form matches the sum-integral.
+The gamma sum-integral is evaluated with the SPHERE kernel, the product of
+the two reflected gamma blocks.  Multiplying in the third,
+(u, m)-independent reflection ratio would only scale the whole side by the
+diagonal reflection factor T of :func:`gamma_reflection_factor`, which the
+gamma reports carry as ``reflection_factor``.  The two printed product sides
+(nine-factor form and two-kernel form) are related by that same factor T
+when all spins vanish; with nonzero spins only the two-kernel form matches
+the sum-integral.
 """
 
 from __future__ import annotations
@@ -116,6 +116,13 @@ DEFAULT_TARGETS = {
 }
 
 _RESIDUAL_FLOOR = 1e-300
+
+# The nomes of the q -> 1 study and the grid of the omega2 -> infinity study:
+# points z, radii T and the phase of the ray omega2 = T e^{-i phase}.
+Q_TO_1_SEQUENCE = (0.9, 0.95, 0.99)
+OMEGA_Z_VALUES = (0.17, 0.3, 0.42)
+OMEGA_T_SEQUENCE = (5.0, 10.0, 20.0)
+OMEGA_PHASE = math.pi / 4
 
 
 @dataclass(frozen=True)
@@ -370,8 +377,7 @@ def eval_index_lhs(p: IndexParams, policy: TruncationPolicy = DEFAULT_POLICY,
     signed = _check_convention(convention)
     return _sum_of_integrals(
         lambda m_sum: integrate_unit_circle(
-            _index_term_integrand(p, m_sum, signed, policy), num_points=64,
-            policy=policy),
+            _index_term_integrand(p, m_sum, signed, policy), policy),
         policy)
 
 
@@ -445,20 +451,15 @@ def _check_convention(convention: str) -> bool:
     return convention == "resolved"
 
 
-def _check_kernel_form(kernel_form: str) -> bool:
-    if kernel_form not in ("SPHERE", "GAMMA2"):
-        raise ValueError(f"unknown kernel_form {kernel_form!r}")
-    return kernel_form == "GAMMA2"
-
-
 def gamma_reflection_factor(p: GammaParams) -> float:
     """The diagonal reflection factor
 
         T = prod_i Gamma(1 - alpha_i - beta_i + (n_i + m_i)/2)
                   / Gamma(alpha_i + beta_i + (n_i + m_i)/2).
 
-    It relates the two kernel flavours (GAMMA2 = T * SPHERE, exactly) and
-    the two product sides (TWO_B = T * NINE_FACTOR when all spins vanish).
+    It relates the two product sides (TWO_B = T * NINE_FACTOR when all
+    spins vanish), and multiplying it into the SPHERE kernel would scale the
+    sum-integral side by exactly T.
     """
     log_t = 0j
     for i in range(3):
@@ -488,8 +489,7 @@ def _gamma_term_integrand(p: GammaParams, m_sum: int, signed: bool):
 
 
 def eval_gamma_lhs(p: GammaParams, policy: TruncationPolicy = DEFAULT_POLICY,
-                   convention: str = "resolved",
-                   kernel_form: str = "SPHERE") -> QuadratureResult:
+                   convention: str = "resolved") -> QuadratureResult:
     """The sum-integral side: sum over m of real-line integrals du/(2 pi).
 
     Both the summand (in |m|) and the integrand (in |u|) decay algebraically
@@ -499,14 +499,10 @@ def eval_gamma_lhs(p: GammaParams, policy: TruncationPolicy = DEFAULT_POLICY,
     for any zero-sum spins, so the straight contour is always correct.
     """
     signed = _check_convention(convention)
-    gamma2 = _check_kernel_form(kernel_form)
-    result = _sum_of_integrals(
+    return _sum_of_integrals(
         lambda m_sum: integrate_real_line(
             _gamma_term_integrand(p, m_sum, signed), policy),
         policy)
-    if gamma2:
-        return replace(result, value=result.value * gamma_reflection_factor(p))
-    return result
 
 
 def eval_gamma_rhs(p: GammaParams, form: str = "TWO_B") -> complex:
@@ -537,40 +533,34 @@ def eval_gamma_rhs(p: GammaParams, form: str = "TWO_B") -> complex:
 
 def verify_pentagon_gamma(p: GammaParams,
                           policy: TruncationPolicy = DEFAULT_POLICY,
-                          convention: str = "resolved",
-                          kernel_form: str = "SPHERE") -> VerificationReport:
-    """Verify the gamma sum-integral identity.
+                          convention: str = "resolved") -> VerificationReport:
+    """Verify the gamma sum-integral identity (SPHERE kernel).
 
-    Resolved SPHERE form: the alternating sum-integral equals
+    Resolved form: the alternating sum-integral equals
     (-1)^{n_3} * TWO_B / T, which at zero spins coincides with
-    (-1)^{n_3} * NINE_FACTOR.  Resolved GAMMA2 form: equals
-    (-1)^{n_3} * TWO_B.  Printed conventions drop all signs and are expected
-    to show a percent-level deficit.
+    (-1)^{n_3} * NINE_FACTOR; ``reflection_factor`` records T.  The printed
+    convention drops all signs and is expected to show a percent-level
+    deficit.
     """
     started = time.perf_counter()
     signed = _check_convention(convention)
-    gamma2 = _check_kernel_form(kernel_form)
-    lhs_result = eval_gamma_lhs(p, policy, convention, kernel_form)
+    lhs_result = eval_gamma_lhs(p, policy, convention)
     two_b = eval_gamma_rhs(p, "TWO_B")
     nine = eval_gamma_rhs(p, "NINE_FACTOR")
     t_factor = gamma_reflection_factor(p)
     sign = (-1.0) ** p.n[2] if signed else 1.0
-    if gamma2:
-        rhs = sign * two_b
-        rhs_alt = sign * nine * t_factor
-    else:
-        rhs = sign * two_b / t_factor
-        rhs_alt = sign * nine
+    rhs = sign * two_b / t_factor
     return _make_report(
         IdentityId.GAMMA_SUM_INTEGRAL, p.to_record(),
         lhs_result.value, rhs, started,
-        rhs_alternate=rhs_alt,
+        rhs_alternate=sign * nine,
         constant_fit=float((lhs_result.value / rhs).real),
         truncation_diagnostics={
             "sum_integral": lhs_result.to_record(),
             "reflection_factor": t_factor,
         },
-        notes=(f"kernel_form={kernel_form}; "
+        # the kernel_form prefix predates the single kernel; records keep it
+        notes=("kernel_form=SPHERE; "
                + ("resolved: alternating m-weight, product side carries "
                   "(-1)^{n_3}" if signed else
                   "printed: unsigned form, expected deficit")),
@@ -740,7 +730,6 @@ def _regularized_kernel_distance(p: GammaParams, q: float,
 
 
 def limit_study_q_to_1(p_gamma: GammaParams,
-                       q_sequence=(0.9, 0.95, 0.99),
                        policy: TruncationPolicy = DEFAULT_POLICY,
                        ) -> LimitStudyResult:
     """Degeneration of the index identity toward the gamma identity.
@@ -750,15 +739,12 @@ def limit_study_q_to_1(p_gamma: GammaParams,
     value tends to Gamma(3/2)/Gamma(1/2) = 1/2 with first order in (1-q),
     and the identity-level distance between the (1-q)-regularized index
     kernels and their discrete-gamma limits, which must decrease
-    monotonically along the sequence.
+    monotonically along ``Q_TO_1_SEQUENCE``.
     """
     started = time.perf_counter()
-    q_sequence = tuple(float(q) for q in q_sequence)
-    if any(not 0 < q < 1 for q in q_sequence):
-        raise ValueError("q_sequence entries must lie in (0, 1)")
     rows = []
     half_errors = []
-    for q in q_sequence:
+    for q in Q_TO_1_SEQUENCE:
         probe_exact = abs(qpoch_ratio_regularized(1, 2, q, policy) - 1)
         half = qpoch_ratio_regularized(0.5, 1.5, q, policy)
         half_err = abs(half - 0.5)
@@ -772,10 +758,10 @@ def limit_study_q_to_1(p_gamma: GammaParams,
             "kernel_distance": dist,
         })
     # convergence order of the (1/2, 3/2) probe, fitted in (1 - q)
-    log_eps = np.log([1 - q for q in q_sequence])
+    log_eps = np.log([1 - q for q in Q_TO_1_SEQUENCE])
     fitted_order = float(np.polyfit(log_eps, np.log(half_errors), 1)[0])
     dists = [row["kernel_distance"] for row in rows]
-    by_q = sorted(zip(q_sequence, dists))
+    by_q = sorted(zip(Q_TO_1_SEQUENCE, dists))
     monotone = all(b[1] < a[1] for a, b in zip(by_q, by_q[1:]))
     passed = (monotone
               and all(row["probe_exact_deviation"] < 1e-12 for row in rows)
@@ -792,14 +778,11 @@ def limit_study_q_to_1(p_gamma: GammaParams,
     )
 
 
-def limit_study_omega(z_values=(0.17, 0.3, 0.42),
-                      T_sequence=(5.0, 10.0, 20.0),
-                      phase: float = math.pi / 4,
-                      policy: TruncationPolicy = DEFAULT_POLICY,
+def limit_study_omega(policy: TruncationPolicy = DEFAULT_POLICY,
                       ) -> LimitStudyResult:
     """Degeneration of the hyperbolic gamma toward the ordinary gamma.
 
-    omega1 = 1 is fixed and omega2 = T e^{-i phase} runs along a ray to
+    omega1 = 1 is fixed and omega2 = T e^{-i pi/4} runs along a ray to
     infinity (off the real axis, preserving Im(omega1/omega2) > 0).  The
     numerics support the limit
 
@@ -811,16 +794,13 @@ def limit_study_omega(z_values=(0.17, 0.3, 0.42),
     which tends to sqrt(2 pi) = 2.5066...
     """
     started = time.perf_counter()
-    if not 0 < phase < math.pi:
-        raise ValueError("phase must lie in (0, pi) to keep Im(w1/w2) > 0")
     rows = []
     monotone = True
     ratios_at_largest = []
-    T_sequence = tuple(float(T) for T in T_sequence)
-    for z in z_values:
+    for z in OMEGA_Z_VALUES:
         dists = []
-        for T in T_sequence:
-            omega = ModularPair(1.0, T * np.exp(-1j * phase))
+        for T in OMEGA_T_SEQUENCE:
+            omega = ModularPair(1.0, T * np.exp(-1j * OMEGA_PHASE))
             g = np.exp(log_hyperbolic_gamma(z, omega, policy))
             base = ((omega.omega2 / (2 * math.pi)) ** (0.5 - z)
                     * gamma_fn(z))
@@ -835,7 +815,7 @@ def limit_study_omega(z_values=(0.17, 0.3, 0.42),
                 "ratio_vs_printed": [complex(g / printed).real,
                                      complex(g / printed).imag],
             })
-            if T == T_sequence[-1]:
+            if T == OMEGA_T_SEQUENCE[-1]:
                 ratios_at_largest.append(abs(g / printed))
         monotone = monotone and all(b < a for a, b in zip(dists, dists[1:]))
     return LimitStudyResult(

@@ -24,6 +24,11 @@ __all__ = [
     "sum_over_integers",
 ]
 
+# Rings summed before sum_over_integers gives up and reports non-convergence.
+_MAX_RINGS = 512
+# First ring at which a tail model is fitted; the fit reads the last six rings.
+_SUM_WINDOW_START = 8
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -95,8 +100,7 @@ def _refine(level, n0: int, policy: TruncationPolicy) -> QuadratureResult:
 
 
 def integrate_real_line(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
-                        u_max: float = 1e6, scale: float | None = None,
-                        ) -> QuadratureResult:
+                        u_max: float = 1e6) -> QuadratureResult:
     """Integral of `integrand` over the whole real line.
 
     Uses the compactifying change of variable u = L tan(theta) with the
@@ -106,7 +110,7 @@ def integrate_real_line(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
     c |u|^{-p} anchored at the outermost nodes, and the correction size is
     reported as ``tail_estimate``.
     """
-    L = _tune_scale(integrand) if scale is None else float(scale)
+    L = _tune_scale(integrand)
     theta_max = math.atan(u_max / L)
 
     def level(num_points: int) -> complex:
@@ -142,24 +146,20 @@ def integrate_real_line(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
     )
 
 
-def integrate_unit_circle(integrand, num_points: int = 64,
-                          policy: TruncationPolicy = DEFAULT_POLICY,
+def integrate_unit_circle(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
                           ) -> QuadratureResult:
     """Contour average (1/2 pi i) oint f(z) dz / z = mean of f at the
     N-th roots of unity.
 
     The trapezoid rule in angle is spectrally accurate for integrands
-    analytic in an annulus around |z| = 1; N is doubled until successive
-    values agree to tolerance.  num_points must be a power of two.
+    analytic in an annulus around |z| = 1; N starts at 64 and is doubled
+    until successive values agree to tolerance.
     """
-    if num_points < 1 or num_points & (num_points - 1):
-        raise ValueError("num_points must be a positive power of two")
-
     def level(n: int) -> complex:
         z = np.exp(2j * np.pi * np.arange(n) / n)
         return complex(np.mean(np.asarray(integrand(z), dtype=complex)))
 
-    return _refine(level, num_points, policy)
+    return _refine(level, 64, policy)
 
 
 def _averaged_partials(partials: list) -> complex:
@@ -172,7 +172,7 @@ def _averaged_partials(partials: list) -> complex:
 
 
 def sum_over_integers(term, policy: TruncationPolicy = DEFAULT_POLICY,
-                      max_rings: int = 512) -> QuadratureResult:
+                      ) -> QuadratureResult:
     """Sum of term(m) over all integers m.
 
     Symmetric rings r_M = term(M) + term(-M) are accumulated outward.  The
@@ -191,7 +191,7 @@ def sum_over_integers(term, policy: TruncationPolicy = DEFAULT_POLICY,
     grow_streak = 0
     error_factor = 1.0
 
-    for M in range(1, max_rings + 1):
+    for M in range(1, _MAX_RINGS + 1):
         r = complex(term(M)) + complex(term(-M))
         evaluations += 2
         total += r
@@ -207,7 +207,7 @@ def sum_over_integers(term, policy: TruncationPolicy = DEFAULT_POLICY,
         else:
             grow_streak = 0
 
-        if M < max(policy.sum_window_start, 6):
+        if M < _SUM_WINDOW_START:
             continue
 
         window = np.array(rings[-6:], dtype=complex)
@@ -269,7 +269,7 @@ def sum_over_integers(term, policy: TruncationPolicy = DEFAULT_POLICY,
         value=estimates[-1] if estimates else total,
         abs_error_estimate=float(err),
         evaluations=evaluations,
-        refinements_used=max_rings,
+        refinements_used=_MAX_RINGS,
         tail_estimate=float(tail_size),
         converged=False,
     )

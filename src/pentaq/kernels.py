@@ -18,7 +18,6 @@ import numpy as np
 from .special_functions import (
     DEFAULT_POLICY,
     ModularPair,
-    Nome,
     PoleError,
     TruncationPolicy,
     log_gamma,
@@ -41,6 +40,8 @@ __all__ = [
     "sample_gamma",
     "sample_beta",
 ]
+
+_INDEX_Q_RANGE = (0.2, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +68,7 @@ def b_idx(a, n: int, b, m: int, q,
     Fractional powers use the principal branch; sampled parameters live near
     the positive real axis where the branch is unambiguous.
     """
-    qv = q.q if isinstance(q, Nome) else complex(q)
+    qv = complex(q)
     a = complex(a)
     b = complex(b)
 
@@ -204,7 +205,9 @@ class IndexParams:
     Continuous parameters are stored through their real exponents:
     a_i = q^{s_i}, b_i = q^{t_i} with sum s_i = sum t_i = 1/2, which makes
     the balancing prod a_i = prod b_i = q^{1/2} exact by construction.
-    Integer spins satisfy sum n_i = sum m_i = 0.
+    Every exponent must be positive, so that the unit circle separates the
+    poles of every term and is the right contour.  Integer spins satisfy
+    sum n_i = sum m_i = 0.
     """
 
     s: tuple
@@ -221,6 +224,11 @@ class IndexParams:
         for label, e in (("s", s), ("t", t)):
             if abs(sum(e) - 0.5) > 1e-12:
                 raise ValueError(f"balancing violated: sum({label}) = {sum(e)}")
+            if min(e) <= 0:
+                raise ValueError(
+                    f"{label} exponents must be positive for the unit-circle "
+                    f"contour, got {e}"
+                )
         n = _check_zero_sum(self.n, "n")
         m = _check_zero_sum(self.m, "m")
         qv = float(self.q)
@@ -245,12 +253,6 @@ class IndexParams:
     @property
     def b(self) -> tuple:
         return tuple(self.q ** e for e in self.t)
-
-    def all_exponents_positive(self) -> bool:
-        """True when every exponent (including shifted combinations that
-        control contour poles) stays positive, so the plain unit circle is
-        the correct contour for every term."""
-        return all(e > 0 for e in self.s) and all(e > 0 for e in self.t)
 
     def to_record(self) -> dict:
         return {
@@ -408,10 +410,9 @@ def sample_gamma(rng: np.random.Generator, with_spins: bool = True) -> GammaPara
     return GammaParams(alpha, beta, n, m)
 
 
-def sample_index(rng: np.random.Generator, with_spins: bool = True,
-                 q_range: tuple = (0.2, 0.5)) -> IndexParams:
-    """A balanced index parameter point with q in q_range."""
-    q = float(rng.uniform(*q_range))
+def sample_index(rng: np.random.Generator, with_spins: bool = True) -> IndexParams:
+    """A balanced index parameter point with q in (0.2, 0.5)."""
+    q = float(rng.uniform(*_INDEX_Q_RANGE))
     s = _balanced_triple(rng, 0.05, 0.4, 0.5)
     t = _balanced_triple(rng, 0.05, 0.4, 0.5)
     n = _zero_sum_spins(rng) if with_spins else (0, 0, 0)

@@ -22,14 +22,12 @@ __all__ = [
     "PoleError",
     "ConvergenceError",
     "ModularPair",
-    "Nome",
     "TruncationPolicy",
     "DEFAULT_POLICY",
     "log_gamma",
     "gamma",
     "qpoch_inf",
     "log_qpoch_inf",
-    "quantum_dilog_product",
     "qpoch_ratio_regularized",
     "bernoulli_b22",
     "hyperbolic_gamma",
@@ -90,23 +88,6 @@ class ModularPair:
 
 
 @dataclass(frozen=True)
-class Nome:
-    """A modular parameter q with 0 < |q| < 1."""
-
-    q: complex
-
-    def __post_init__(self) -> None:
-        qv = complex(self.q)
-        if not 0 < abs(qv) < 1:
-            raise ValueError(f"Nome requires 0 < |q| < 1, got |q| = {abs(qv)}")
-        object.__setattr__(self, "q", qv)
-
-
-def _as_q(q) -> complex:
-    return q.q if isinstance(q, Nome) else complex(q)
-
-
-@dataclass(frozen=True)
 class TruncationPolicy:
     """Tolerances and cutoffs for products, sums and quadrature."""
 
@@ -114,7 +95,6 @@ class TruncationPolicy:
     series_max_terms: int = 200_000
     quadrature_abs_tol: float = 1e-12
     quadrature_rel_tol: float = 1e-10
-    sum_window_start: int = 8
     sum_tail_tol: float = 1e-10
     max_refinements: int = 12
 
@@ -123,7 +103,7 @@ class TruncationPolicy:
                      "quadrature_rel_tol", "sum_tail_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("series_max_terms", "sum_window_start", "max_refinements"):
+        for name in ("series_max_terms", "max_refinements"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
 
@@ -134,7 +114,6 @@ class TruncationPolicy:
             series_max_terms=self.series_max_terms * 2,
             quadrature_abs_tol=self.quadrature_abs_tol * 1e-2,
             quadrature_rel_tol=self.quadrature_rel_tol * 1e-2,
-            sum_window_start=self.sum_window_start * 2,
             sum_tail_tol=self.sum_tail_tol * 1e-2,
             max_refinements=self.max_refinements + 2,
         )
@@ -174,17 +153,23 @@ def gamma(z):
 # q-Pochhammer
 # ---------------------------------------------------------------------------
 
-def _qpoch_num_factors(a_max: float, q_abs: float, policy: TruncationPolicy) -> int:
-    """Number of factors so that |a q^K| < product_tail_tol (one factor,
-    1 - a, when a or q vanishes)."""
-    if a_max == 0 or q_abs == 0:
-        return 1
+def _qpoch_plan(a, q, policy: TruncationPolicy) -> tuple:
+    """(q, a, K) for (a; q)_inf: q as a complex with |q| < 1, `a` as a
+    complex array, and the number of factors K so that
+    |a q^K| < product_tail_tol (one factor, 1 - a, when a or q vanishes)."""
+    qv = complex(q)
+    if abs(qv) >= 1:
+        raise ValueError(f"(a;q)_inf requires |q| < 1, got |q| = {abs(qv)}")
+    arr = np.asarray(a, dtype=complex)
+    a_max = float(np.max(np.abs(arr))) if arr.size else 0.0
+    if a_max == 0 or qv == 0:
+        return qv, arr, 1
     target = policy.product_tail_tol / max(a_max, policy.product_tail_tol)
     if target >= 1.0:
         k = 1
     else:
-        k = int(math.ceil(math.log(target) / math.log(q_abs))) + 1
-    return min(max(k, 1), policy.series_max_terms)
+        k = int(math.ceil(math.log(target) / math.log(abs(qv)))) + 1
+    return qv, arr, min(max(k, 1), policy.series_max_terms)
 
 
 def qpoch_inf(a, q, policy: TruncationPolicy = DEFAULT_POLICY):
@@ -195,12 +180,7 @@ def qpoch_inf(a, q, policy: TruncationPolicy = DEFAULT_POLICY):
     and a first-order multiplicative tail bound exp(-a q^K / (1-q)) is
     applied, which is sharp for geometrically decaying factors.
     """
-    qv = _as_q(q)
-    if abs(qv) >= 1:
-        raise ValueError(f"(a;q)_inf requires |q| < 1, got |q| = {abs(qv)}")
-    arr = np.asarray(a, dtype=complex)
-    amax = float(np.max(np.abs(arr))) if arr.size else 0.0
-    K = _qpoch_num_factors(amax, abs(qv), policy)
+    qv, arr, K = _qpoch_plan(a, q, policy)
     powers = qv ** np.arange(K)
     out = np.prod(1.0 - arr[..., None] * powers, axis=-1)
     # first-order tail: sum_{k>=K} log(1 - a q^k) ~ -a q^K / (1 - q)
@@ -214,12 +194,7 @@ def log_qpoch_inf(a, q, policy: TruncationPolicy = DEFAULT_POLICY):
     The factor logs are accumulated in blocks so that q -> 1 evaluations
     (tens of thousands of factors) stay within memory.
     """
-    qv = _as_q(q)
-    if abs(qv) >= 1:
-        raise ValueError(f"(a;q)_inf requires |q| < 1, got |q| = {abs(qv)}")
-    arr = np.asarray(a, dtype=complex)
-    amax = float(np.max(np.abs(arr))) if arr.size else 0.0
-    K = _qpoch_num_factors(amax, abs(qv), policy)
+    qv, arr, K = _qpoch_plan(a, q, policy)
     out = np.zeros(arr.shape, dtype=complex)
     block = 4096
     # a vanishing factor (a = q^{-k}) legitimately sends the log to -inf,
@@ -233,16 +208,6 @@ def log_qpoch_inf(a, q, policy: TruncationPolicy = DEFAULT_POLICY):
     return complex(out) if arr.ndim == 0 else out
 
 
-def quantum_dilog_product(x, q, policy: TruncationPolicy = DEFAULT_POLICY):
-    """The product prod_{i>=1} (1 - x q^i), i.e. (x q; q)_inf.
-
-    This is the convention whose infinite product starts at i = 1; the
-    companion ``qpoch_inf`` starts at k = 0.
-    """
-    qv = _as_q(q)
-    return qpoch_inf(np.asarray(x, dtype=complex) * qv, qv, policy)
-
-
 def qpoch_ratio_regularized(alpha, beta, q,
                             policy: TruncationPolicy = DEFAULT_POLICY):
     """(q^alpha; q)_inf / (q^beta; q)_inf * (1-q)^(alpha-beta), in log-space.
@@ -250,7 +215,7 @@ def qpoch_ratio_regularized(alpha, beta, q,
     As q -> 1 this tends to Gamma(beta)/Gamma(alpha); the regulator keeps the
     evaluation finite on the way.  Principal branches throughout.
     """
-    qv = _as_q(q)
+    qv = complex(q)
     a = complex(alpha)
     b = complex(beta)
     lq = np.log(qv)
@@ -284,8 +249,7 @@ def bernoulli_b22(u, omega):
 
 
 def log_hyperbolic_gamma(u, omega: ModularPair,
-                         policy: TruncationPolicy = DEFAULT_POLICY,
-                         eps_modular: float = EPS_MODULAR):
+                         policy: TruncationPolicy = DEFAULT_POLICY):
     """log of the hyperbolic gamma function gamma^(2)(u; omega1, omega2).
 
     Convention (validated by the inversion relation
@@ -298,15 +262,15 @@ def log_hyperbolic_gamma(u, omega: ModularPair,
                        / (exp(2*pi*i*u/omega2);    q)_inf
 
     Array-capable in u.  Raises ConvergenceError when either nome modulus
-    exceeds 1 - eps_modular (near-degenerate pair), and PoleError when the
+    exceeds 1 - EPS_MODULAR (near-degenerate pair), and PoleError when the
     denominator Pochhammer factor vanishes within tolerance.
     """
     qv = omega.q
     qd = omega.q_dual
-    if abs(qv) > 1 - eps_modular or abs(qd) > 1 - eps_modular:
+    if abs(qv) > 1 - EPS_MODULAR or abs(qd) > 1 - EPS_MODULAR:
         raise ConvergenceError(
             "near-degenerate quasi-period pair: "
-            f"|q| = {abs(qv):.6f}, |q~| = {abs(qd):.6f} exceed {1 - eps_modular}"
+            f"|q| = {abs(qv):.6f}, |q~| = {abs(qd):.6f} exceed {1 - EPS_MODULAR}"
         )
     u = np.asarray(u, dtype=complex)
     b22 = bernoulli_b22(u, omega)

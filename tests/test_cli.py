@@ -6,7 +6,6 @@ import pytest
 from click.testing import CliRunner
 
 from pentaq.cli import IDENTITY_TABLE, main
-from pentaq.kernels import sample_index
 
 
 @pytest.fixture
@@ -37,6 +36,12 @@ class TestVerify:
         points = [r for r in jsonl(res.output) if r["kind"] == "point"]
         assert len(points) == 3
 
+    def test_operator_max_degree_range_checked(self, runner):
+        res = runner.invoke(main, ["verify", "--identity", "operator",
+                                   "--max-degree", "0"])
+        assert res.exit_code == 2, res.output
+        assert "--max-degree" in res.output
+
     def test_operator_rejects_random(self, runner):
         res = runner.invoke(main, ["verify", "--identity", "operator",
                                    "--random", "5"])
@@ -62,16 +67,22 @@ class TestVerify:
         points = [r for r in jsonl(res.output) if r["kind"] == "point"]
         assert len(points) == 2
 
+    @pytest.mark.parametrize("identity, rec", [
+        ("index", {"s": [0.1, 0.2, 0.2], "t": [0.1, 0.2, 0.2],
+                   "n": [1, 1, 1], "m": [0, 0, 0], "q": 0.3}),
+        ("index", {"s": [-0.05, 0.3, 0.25], "t": [0.2, 0.2, 0.1],
+                   "n": [0, 0, 0], "m": [0, 0, 0], "q": 0.3}),
+        ("classical", {"x": 1.5, "y": 0.3}),
+    ], ids=["index-spins", "index-negative-exponent", "classical-outside"])
     def test_params_file_constraint_violation_reported(self, runner,
-                                                       tmp_path, rng):
-        rec = sample_index(rng).to_record()
-        rec["n"] = [1, 1, 1]  # spins no longer sum to zero
+                                                       tmp_path, identity,
+                                                       rec):
         f = tmp_path / "bad.jsonl"
         f.write_text(json.dumps(rec) + "\n")
-        res = runner.invoke(main, ["verify", "--identity", "index",
+        res = runner.invoke(main, ["verify", "--identity", identity,
                                    "--params", str(f)])
-        assert res.exit_code != 0
-        assert "bad.jsonl:1" in res.output
+        assert res.exit_code == 1
+        assert "bad.jsonl:1: constraint violation" in res.output
 
     def test_beta_exits_nonzero(self, runner):
         res = runner.invoke(main, ["verify", "--identity", "beta",

@@ -1,11 +1,16 @@
-"""Source hygiene: every name a pentaq module imports is used there."""
+"""Source hygiene: every name a pentaq module imports is used there, and
+every function the benchmark's tracing shims rebind still exists."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "pentaq"
+from pentaq import identities, integrators, kernels, special_functions
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "pentaq"
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -41,3 +46,19 @@ def test_checker_flags_an_unused_import():
     tree = ast.parse("import math\nfrom os import path, sep\n"
                      "__all__ = ['sep']\n")
     assert unused_imports(tree) == ["math (line 1)", "path (line 2)"]
+
+
+def test_traced_functions_exist():
+    # tier-1 does not collect benchmarks/; without this check a renamed
+    # function would break only the traced benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", ROOT / "benchmarks" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, names in ((special_functions, tracing.SPECIAL_FUNCTIONS),
+                          (integrators, tracing.ENGINES),
+                          (kernels, tracing.KERNELS),
+                          (identities, tracing.SIDES)):
+        for name in names:
+            assert callable(getattr(module, name, None)), \
+                f"{module.__name__}.{name}"

@@ -109,13 +109,6 @@ class TestGamma:
         assert rep.passed
         assert rep.rel_residual < DEFAULT_TARGETS[IdentityId.GAMMA_SUM_INTEGRAL]
 
-    def test_gamma2_kernel_consistent_with_sphere(self):
-        sphere = verify_pentagon_gamma(GAMMA_POINT, kernel_form="SPHERE")
-        gamma2 = verify_pentagon_gamma(GAMMA_POINT, kernel_form="GAMMA2")
-        t = gamma_reflection_factor(GAMMA_POINT)
-        assert gamma2.passed
-        assert gamma2.lhs == pytest.approx(t * sphere.lhs, rel=1e-9)
-
     def test_printed_convention_shows_deficit(self):
         rep = verify_pentagon_gamma(GAMMA_POINT, convention="printed")
         assert not rep.passed
@@ -222,11 +215,6 @@ class TestLimitStudies:
         dists = [row["kernel_distance"] for row in study.rows]
         assert dists == sorted(dists, reverse=True)
         assert study.fitted_order >= 1.0
-
-    def test_q_to_1_rejects_bad_sequence(self):
-        with pytest.raises(ValueError):
-            limit_study_q_to_1(GammaParams.symmetric_point(),
-                               q_sequence=(0.9, 1.1))
 
     def test_omega_constant_is_sqrt_two_pi(self):
         study = limit_study_omega()

@@ -76,10 +76,6 @@ class TestUnitCircle:
         assert res.value == pytest.approx(1.0, abs=1e-13)
         assert res.converged
 
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            integrate_unit_circle(lambda z: z, num_points=60)
-
 
 class TestBilateralSum:
     def test_two_sided_geometric(self):

@@ -107,6 +107,12 @@ class TestParamContainers:
             IndexParams((0.1, 0.2, 0.2), (0.1, 0.2, 0.2), (1, 1, 1),
                         (0, 0, 0), 0.3)
 
+    def test_index_rejects_nonpositive_exponents(self):
+        # the unit circle is no longer the contour once an exponent is <= 0
+        with pytest.raises(ValueError, match="positive"):
+            IndexParams((-0.05, 0.3, 0.25), (0.2, 0.2, 0.1), (0, 0, 0),
+                        (0, 0, 0), 0.3)
+
     def test_gamma_rejects_nonpositive_parameters(self):
         with pytest.raises(ValueError, match="positive"):
             GammaParams.balanced(0.3, 0.3, 0.1, 0.1)  # alpha3 = -0.1
@@ -143,7 +149,7 @@ class TestSamplers:
     def test_index_sampler_positive_exponents(self, rng):
         for _ in range(50):
             p = sample_index(rng)
-            assert p.all_exponents_positive()
+            assert min(p.s + p.t) > 0
             assert 0.2 <= p.q <= 0.5
 
     def test_hyperbolic_sampler_pole_separation(self, rng, omega):

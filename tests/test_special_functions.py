@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from pentaq.special_functions import (
     ConvergenceError,
     ModularPair,
-    Nome,
     PoleError,
     TruncationPolicy,
     bernoulli_b22,
@@ -23,7 +22,6 @@ from pentaq.special_functions import (
     log_qpoch_inf,
     qpoch_inf,
     qpoch_ratio_regularized,
-    quantum_dilog_product,
     rogers_L,
 )
 
@@ -43,13 +41,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             ModularPair(0.0, 1.0)
 
-    def test_nome_bounds(self):
-        assert Nome(0.5).q == 0.5
-        with pytest.raises(ValueError):
-            Nome(1.2)
-        with pytest.raises(ValueError):
-            Nome(0.0)
-
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             TruncationPolicy(product_tail_tol=-1)
@@ -60,7 +51,6 @@ class TestTypes:
         base = TruncationPolicy()
         tight = base.doubled()
         assert tight.product_tail_tol < base.product_tail_tol
-        assert tight.sum_window_start > base.sum_window_start
 
 
 class TestLogGamma:
@@ -143,12 +133,6 @@ class TestQPochhammer:
     def test_rejects_bad_nome(self):
         with pytest.raises(ValueError):
             qpoch_inf(0.5, 1.1)
-
-    def test_product_start_conventions(self):
-        # quantum_dilog_product starts the product at the first power of q
-        q = 0.4
-        assert quantum_dilog_product(0.7, q) == pytest.approx(
-            qpoch_inf(0.7 * q, q))
 
     def test_log_variant_matches(self, rng):
         for _ in range(20):
