@@ -9,7 +9,7 @@ Layers:
   variables for the operator pentagon identity.
 - :mod:`pentaq.kernels` — the four B kernels and balanced parameter sets.
 - :mod:`pentaq.integrators` — real-line quadrature, unit-circle quadrature,
-  and tail-controlled integer sums.
+  and integer sums whose tail model the caller names.
 - :mod:`pentaq.identities` — LHS/RHS evaluators, verification reports, and
   the two limit studies.
 - :mod:`pentaq.cli` — the ``pentaq`` command-line front end.

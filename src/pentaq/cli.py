@@ -3,7 +3,9 @@ expansions, and golden-vector self-checks.
 
 Reports are line-delimited JSON: a header record (schema version, run
 configuration, timestamp), one record per parameter point, and a summary
-record with pass/fail counts and fitted constants.  Identical configuration
+record with pass/fail counts and fitted constants.  A point whose evaluation
+raises gets the record ``{"kind": "point", "index": i, "error": ...}`` and
+counts as failed; the run goes on with the next point.  Identical configuration
 and seed produce byte-identical reports except for the header timestamp and
 each point's ``wall_time``.
 """
@@ -15,6 +17,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 from typing import Callable
 
@@ -26,6 +29,7 @@ from . import kernels as krn
 from .identities import IdentityId
 from .special_functions import (
     DEFAULT_POLICY,
+    ConvergenceError,
     ModularPair,
     bernoulli_b22,
     dilog,
@@ -169,8 +173,8 @@ def verify(identity, params_path, random_count, seed, tol, convention,
                 "the operator identity runs its fixed rational-q set; "
                 "--params/--random do not apply")
         takes_convention = False
-        reports = [idn.verify_operator_pentagon(max_degree, q)
-                   for q in _OPERATOR_QS]
+        points = _OPERATOR_QS
+        verify_one = partial(idn.verify_operator_pentagon, max_degree)
     else:
         identity_id = IdentityId(identity)
         row = IDENTITY_TABLE[identity_id]
@@ -185,38 +189,47 @@ def verify(identity, params_path, random_count, seed, tol, convention,
                 raise click.UsageError("--random must be at least 1")
             rng = np.random.default_rng(seed)
             points = [row.sample(rng) for _ in range(count)]
-        extra = (convention,) if takes_convention else ()
-        reports = [row.verify(point, policy, *extra) for point in points]
-    if tol is not None:
-        reports = [replace(rep, target=tol, passed=rep.rel_residual <= tol)
-                   for rep in reports]
+        verify_one = partial(row.verify, policy=policy, **(
+            {"convention": convention} if takes_convention else {}))
+    results = []
+    for point in points:
+        try:
+            rep = verify_one(point)
+        except (ValueError, ArithmeticError, ConvergenceError) as exc:
+            results.append(f"{type(exc).__name__}: {exc}")
+            continue
+        if tol is not None:
+            rep = replace(rep, target=tol, passed=rep.rel_residual <= tol)
+        results.append(rep)
+    reports = [res for res in results if not isinstance(res, str)]
 
     lines = [json.dumps({
         "schema_version": SCHEMA_VERSION, "kind": "run_header",
         "command": "verify", "identity": identity, "seed": seed,
         "convention": convention if takes_convention else None,
-        "points": len(reports),
+        "points": len(results),
         "generator": "numpy.random.default_rng(PCG64)",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     })]
-    for index, rep in enumerate(reports):
-        lines.append(json.dumps(
-            {"kind": "point", "index": index, **rep.to_record()}))
+    for index, res in enumerate(results):
+        record = {"error": res} if isinstance(res, str) else res.to_record()
+        lines.append(json.dumps({"kind": "point", "index": index, **record}))
 
-    residuals = [rep.rel_residual for rep in reports]
+    passed = sum(rep.passed for rep in reports)
     fits = [rep.constant_fit for rep in reports
             if rep.constant_fit is not None]
     summary = {
         "kind": "summary",
-        "passed": sum(rep.passed for rep in reports),
-        "failed": sum(not rep.passed for rep in reports),
-        "max_rel_residual": max(residuals),
+        "passed": passed,
+        "failed": len(results) - passed,
+        "max_rel_residual": max((rep.rel_residual for rep in reports),
+                                default=None),
         "constant_fit_mean": float(np.mean(fits)) if fits else None,
         "constant_fit_std": float(np.std(fits)) if fits else None,
     }
     lines.append(json.dumps(summary))
     _emit(lines, report_path)
-    sys.exit(0 if all(rep.passed for rep in reports) else 1)
+    sys.exit(0 if passed == len(results) else 1)
 
 
 @main.command("limit-study")

@@ -39,6 +39,7 @@ import numpy as np
 
 from .integrators import (
     QuadratureResult,
+    Tail,
     integrate_real_line,
     integrate_unit_circle,
     sum_over_integers,
@@ -164,17 +165,12 @@ class VerificationReport:
         return rec
 
 
-def _residuals(lhs: complex, rhs: complex) -> tuple[float, float]:
-    # Python floats: a numpy bool_ in ``passed`` would not serialize to JSON
-    abs_res = float(abs(lhs - rhs))
-    rel_res = abs_res / max(abs(lhs), abs(rhs), _RESIDUAL_FLOOR)
-    return abs_res, float(rel_res)
-
-
 def _make_report(identity_id: IdentityId, parameters: dict, lhs: complex,
                  rhs: complex, started: float, target: float | None = None,
                  **extra) -> VerificationReport:
-    abs_res, rel_res = _residuals(lhs, rhs)
+    # Python floats: a numpy bool_ in ``passed`` would not serialize to JSON
+    abs_res = float(abs(lhs - rhs))
+    rel_res = float(abs_res / max(abs(lhs), abs(rhs), _RESIDUAL_FLOOR))
     target = DEFAULT_TARGETS[identity_id] if target is None else target
     return VerificationReport(
         identity_id=identity_id,
@@ -190,7 +186,7 @@ def _make_report(identity_id: IdentityId, parameters: dict, lhs: complex,
     )
 
 
-def _sum_of_integrals(integrate_term, policy: TruncationPolicy,
+def _sum_of_integrals(integrate_term, tail: Tail, policy: TruncationPolicy,
                       ) -> QuadratureResult:
     """Sum over integers m of the integrals ``integrate_term(m)``.
 
@@ -207,7 +203,7 @@ def _sum_of_integrals(integrate_term, policy: TruncationPolicy,
         inner_tail = max(inner_tail, res.tail_estimate)
         return res.value
 
-    outer = sum_over_integers(term, policy)
+    outer = sum_over_integers(term, tail, policy)
     return replace(outer, evaluations=evaluations,
                    tail_estimate=max(outer.tail_estimate, inner_tail))
 
@@ -378,7 +374,7 @@ def eval_index_lhs(p: IndexParams, policy: TruncationPolicy = DEFAULT_POLICY,
     return _sum_of_integrals(
         lambda m_sum: integrate_unit_circle(
             _index_term_integrand(p, m_sum, signed, policy), policy),
-        policy)
+        Tail(alternating=not signed), policy)
 
 
 def eval_index_rhs(p: IndexParams, form: str = "TWO_B",
@@ -492,9 +488,11 @@ def eval_gamma_lhs(p: GammaParams, policy: TruncationPolicy = DEFAULT_POLICY,
                    convention: str = "resolved") -> QuadratureResult:
     """The sum-integral side: sum over m of real-line integrals du/(2 pi).
 
-    Both the summand (in |m|) and the integrand (in |u|) decay algebraically
-    with exponent 2(sum alpha + sum beta) - 6 = -4 at zero spins, so the
-    engines' tail extrapolation is essential here.  With positive alpha, beta
+    Balancing, sum alpha + sum beta = 1, makes the 2-D integrand decay like
+    (1/2 pi)(m^2/4 + u^2)^{-2}: like |u|^{-4} in u and, integrated over u,
+    like 2|m|^{-3} in m.  So the rings (m and -m together) tend to 4/M^3, at
+    any spins, and alternate in sign in the printed convention; the m-sum's
+    tail model takes that exact leading term.  With positive alpha, beta
     (enforced by GammaParams) no integrand pole ever touches the real line,
     for any zero-sum spins, so the straight contour is always correct.
     """
@@ -502,7 +500,7 @@ def eval_gamma_lhs(p: GammaParams, policy: TruncationPolicy = DEFAULT_POLICY,
     return _sum_of_integrals(
         lambda m_sum: integrate_real_line(
             _gamma_term_integrand(p, m_sum, signed), policy),
-        policy)
+        Tail(power=3, leading=4.0, alternating=not signed), policy)
 
 
 def eval_gamma_rhs(p: GammaParams, form: str = "TWO_B") -> complex:

@@ -1,5 +1,5 @@
 """Numerical engines: real-line quadrature, unit-circle quadrature, and
-tail-controlled sums over all integers.
+sums over all integers whose tail follows a model the caller names.
 
 The three engines share a common result type carrying the value, a
 conservative error estimate, evaluation counts, and an explicit tail
@@ -10,7 +10,7 @@ answer came from extrapolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
@@ -19,6 +19,7 @@ from .special_functions import DEFAULT_POLICY, ConvergenceError, TruncationPolic
 
 __all__ = [
     "QuadratureResult",
+    "Tail",
     "integrate_real_line",
     "integrate_unit_circle",
     "sum_over_integers",
@@ -26,7 +27,7 @@ __all__ = [
 
 # Rings summed before sum_over_integers gives up and reports non-convergence.
 _MAX_RINGS = 512
-# First ring at which a tail model is fitted; the fit reads the last six rings.
+# First ring after which the tail model corrects the running sum.
 _SUM_WINDOW_START = 8
 
 
@@ -48,14 +49,9 @@ class QuadratureResult:
             raise ValueError("evaluations must be at least 1")
 
     def to_record(self) -> dict:
-        return {
-            "value": [complex(self.value).real, complex(self.value).imag],
-            "abs_error_estimate": self.abs_error_estimate,
-            "evaluations": self.evaluations,
-            "refinements_used": self.refinements_used,
-            "tail_estimate": self.tail_estimate,
-            "converged": self.converged,
-        }
+        rec = asdict(self)
+        rec["value"] = [complex(self.value).real, complex(self.value).imag]
+        return rec
 
 
 def _tune_scale(f, probe=(0.5, 1.0, 2.0, 4.0, 8.0, 16.0)) -> float:
@@ -162,114 +158,107 @@ def integrate_unit_circle(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
     return _refine(level, 64, policy)
 
 
-def _averaged_partials(partials: list) -> complex:
-    """Iterated averaging of the trailing partial sums; each level gains
-    one power of 1/M for alternating algebraically decaying tails."""
-    arr = np.array(partials[-14:], dtype=complex)
-    while len(arr) > 1:
-        arr = 0.5 * (arr[:-1] + arr[1:])
-    return complex(arr[0])
+@dataclass(frozen=True)
+class Tail:
+    """How the rings r_M = term(M) + term(-M) of a bilateral sum behave far
+    out, as the caller of :func:`sum_over_integers` knows it.
+
+    ``power=None``: geometric decay, |r_{M+1}| = rho |r_M|, with rho the
+    median ratio of the last six rings.  ``power=s``: r_M = leading M^{-s}
+    + sum_{k=1..4} c_k M^{-s-2k}, with ``leading`` exact and the c_k fitted
+    by least squares over rings M/2..M; the tail is a sum of Hurwitz zeta
+    values.  ``alternating``: the rings carry a further sign (-1)^M.
+    """
+
+    power: int | None = None
+    leading: float = 0.0
+    alternating: bool = False
+
+    def remainder(self, rings: list) -> tuple[complex, float]:
+        """Predicted sum of the rings after ``rings[-1]``, and the error the
+        geometric model owes to the drift of the ratio (0 for power laws)."""
+        if self.power is None:
+            mags = np.abs(np.array(rings[-6:], dtype=complex))
+            ratios = mags[1:] / np.maximum(mags[:-1], 1e-300)
+            rho = float(np.median(ratios))
+            ratio = -rho if self.alternating else rho
+            if ratio >= 1:  # rings that do not decay: no continuation
+                return 0j, 0.0
+            # the remainder, and its shift if the ratio drifts on as it did
+            return (rings[-1] * ratio / (1 - ratio),
+                    abs(rings[-1]) * float(np.ptp(ratios)) / (1 - ratio) ** 3)
+        M = len(rings)
+        j = np.arange(M // 2, M + 1)
+        sign = (-1.0) ** j if self.alternating else 1.0
+        excess = (sign * np.array(rings[M // 2 - 1:], dtype=complex)
+                  - self.leading * j ** -float(self.power))
+        powers = self.power + 2 * np.arange(5)
+        # columns (M/j)^e, in [1, 2^e], keep the fit well conditioned
+        scaled = np.linalg.lstsq((M / j)[:, None] ** powers[1:], excess,
+                                 rcond=None)[0]
+        weights = np.concatenate(([self.leading],
+                                  scaled * float(M) ** powers[1:]))
+        return complex(weights @ self._power_sums(powers, M)), 0.0
+
+    def _power_sums(self, s, M: int):
+        """sum_{m > M} m^{-s}, or sum_{m > M} (-1)^m m^{-s} if alternating."""
+        if not self.alternating:
+            return _hurwitz_zeta(s, M + 1)
+        return ((-1.0) ** (M + 1) * 2.0 ** -s * (_hurwitz_zeta(s, (M + 1) / 2)
+                                                - _hurwitz_zeta(s, (M + 2) / 2)))
+
+    def error(self, estimates: list) -> float:
+        """Error of the last estimate: the larger of the last two changes
+        (geometric) or the change over four rings (power law)."""
+        pairs = ((1, 2), (2, 3)) if self.power is None else ((1, 5),)
+        if len(estimates) < pairs[-1][1]:
+            return math.inf
+        return max(abs(estimates[-a] - estimates[-b]) for a, b in pairs)
 
 
-def sum_over_integers(term, policy: TruncationPolicy = DEFAULT_POLICY,
+def sum_over_integers(term, tail: Tail = Tail(),
+                      policy: TruncationPolicy = DEFAULT_POLICY,
                       ) -> QuadratureResult:
     """Sum of term(m) over all integers m.
 
-    Symmetric rings r_M = term(M) + term(-M) are accumulated outward.  The
-    running estimate is corrected by the tail model the data supports:
-    geometric continuation for geometric decay, iterated averaging for
-    alternating algebraic tails, and a fitted c |m|^{-p} Hurwitz-zeta tail
-    otherwise.  Convergence is declared when the corrected estimate is
-    stable across three consecutive rings.
+    Symmetric rings r_M = term(M) + term(-M) are accumulated outward.  From
+    ring 8 on, the running sum is corrected by the remainder that the
+    caller's tail model predicts, until the model's error estimate is below
+    max(sum_tail_tol, sum_tail_tol * |estimate|), or else ``converged`` is
+    False after ``_MAX_RINGS`` rings.  Rings growing eight times in a row
+    raise ConvergenceError.
     """
     total = complex(term(0))
-    evaluations = 1
     rings: list[complex] = []
-    partials: list[complex] = []
     estimates: list[complex] = []
-    tail_size = 0.0
     grow_streak = 0
-    error_factor = 1.0
 
     for M in range(1, _MAX_RINGS + 1):
         r = complex(term(M)) + complex(term(-M))
-        evaluations += 2
         total += r
         rings.append(r)
-        partials.append(total)
 
-        if M >= 3 and abs(rings[-1]) > abs(rings[-2]) > 0:
-            grow_streak += 1
-            if grow_streak >= 8:
-                raise ConvergenceError(
-                    f"sum_over_integers: terms growing at |m| = {M}"
-                )
-        else:
-            grow_streak = 0
+        grow_streak = (grow_streak + 1
+                       if M >= 3 and abs(r) > abs(rings[-2]) > 0 else 0)
+        if grow_streak >= 8:
+            raise ConvergenceError(
+                f"sum_over_integers: terms growing at |m| = {M}")
 
         if M < _SUM_WINDOW_START:
             continue
+        correction, drift = tail.remainder(rings)
+        estimates.append(total + correction)
+        err = max(tail.error(estimates), drift)
+        converged = err < max(policy.sum_tail_tol,
+                              policy.sum_tail_tol * abs(estimates[-1]))
+        if converged:
+            break
 
-        window = np.array(rings[-6:], dtype=complex)
-        mags = np.abs(window)
-        if np.all(mags == 0):
-            estimate, tail_size = total, 0.0
-            estimates.append(estimate)
-        else:
-            ratios = mags[1:] / np.maximum(mags[:-1], 1e-300)
-            rho = float(np.median(ratios))
-            alternating = bool(np.all(np.real(window[1:] * np.conj(window[:-1]))
-                                      < 0))
-            if alternating and len(partials) >= 14:
-                estimate = _averaged_partials(partials)
-                tail_size = abs(estimate - total)
-                error_factor = 1.0
-            elif rho < 0.8:
-                correction = r * rho / (1 - rho)
-                estimate = total + correction
-                tail_size = abs(correction)
-                error_factor = 1.0
-            else:
-                ms = np.arange(M - 5, M + 1, dtype=float)
-                good = mags > 0
-                if np.count_nonzero(good) >= 3:
-                    p = -np.polyfit(np.log(ms[good]), np.log(mags[good]), 1)[0]
-                else:
-                    p = 2.0
-                if p > 1.2:
-                    correction = r * M ** p * float(_hurwitz_zeta(p, M + 1))
-                    estimate = total + correction
-                    tail_size = abs(correction)
-                    # a fitted power-law tail carries a model bias that
-                    # shrinks one power of M slower than the ring deltas do
-                    error_factor = 2.0 * M
-                else:
-                    estimate, tail_size = total, abs(r) * M
-                    error_factor = 2.0 * M
-            estimates.append(estimate)
-
-        if len(estimates) >= 3:
-            deltas = [abs(estimates[-1] - estimates[-2]),
-                      abs(estimates[-2] - estimates[-3])]
-            err = max(deltas) * error_factor
-            tol = max(policy.sum_tail_tol,
-                      policy.sum_tail_tol * abs(estimates[-1]))
-            if err < tol:
-                return QuadratureResult(
-                    value=estimates[-1],
-                    abs_error_estimate=float(err),
-                    evaluations=evaluations,
-                    refinements_used=M,
-                    tail_estimate=float(tail_size),
-                )
-
-    err = (abs(estimates[-1] - estimates[-2]) * error_factor
-           if len(estimates) >= 2 else math.inf)
     return QuadratureResult(
-        value=estimates[-1] if estimates else total,
+        value=estimates[-1],
         abs_error_estimate=float(err),
-        evaluations=evaluations,
-        refinements_used=_MAX_RINGS,
-        tail_estimate=float(tail_size),
-        converged=False,
+        evaluations=2 * M + 1,
+        refinements_used=M,
+        tail_estimate=float(abs(correction)),
+        converged=converged,
     )

@@ -6,6 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from pentaq.cli import IDENTITY_TABLE, main
+from pentaq.kernels import sample_hyperbolic
+from pentaq.special_functions import ModularPair
 
 
 @pytest.fixture
@@ -83,6 +85,24 @@ class TestVerify:
                                    "--params", str(f)])
         assert res.exit_code == 1
         assert "bad.jsonl:1: constraint violation" in res.output
+
+    def test_raising_point_gives_error_record(self, runner, tmp_path, rng):
+        # the dual nome of the first pair underflows and its integrand raises
+        # PoleError; the run must still verify the second, good point
+        pts = [sample_hyperbolic(rng, ModularPair(0.0005 + 0.0005j, 1.0)),
+               sample_hyperbolic(rng, ModularPair(0.4 + 0.9j, 1.0))]
+        f = tmp_path / "pts.jsonl"
+        f.write_text("".join(json.dumps(p.to_record()) + "\n" for p in pts))
+        res = runner.invoke(main, ["verify", "--identity", "hyperbolic",
+                                   "--params", str(f)])
+        assert res.exit_code == 1, res.output
+        header, bad, good, summary = jsonl(res.output)
+        assert header["points"] == 2
+        assert set(bad) == {"kind", "index", "error"}
+        assert bad["index"] == 0
+        assert bad["error"].startswith("PoleError: ")
+        assert good["index"] == 1 and good["passed"]
+        assert summary["passed"] == 1 and summary["failed"] == 1
 
     def test_beta_exits_nonzero(self, runner):
         res = runner.invoke(main, ["verify", "--identity", "beta",

@@ -8,6 +8,7 @@ from pentaq.identities import (
     DEFAULT_TARGETS,
     IdentityId,
     _beta_integrand,
+    _gamma_term_integrand,
     equivalence_check_gamma_rhs,
     eval_beta_lhs,
     eval_beta_rhs,
@@ -33,6 +34,7 @@ from pentaq.kernels import (
     sample_hyperbolic,
     sample_index,
 )
+from pentaq.integrators import integrate_real_line
 from pentaq.special_functions import DEFAULT_POLICY
 
 
@@ -102,6 +104,18 @@ class TestIndex:
             rep = verify_pentagon_index(p)
             assert rep.passed, rep.rel_residual
 
+    @pytest.mark.parametrize("q", [0.85, 0.95])
+    def test_near_q_to_1(self, q):
+        # ring ratios approach q from below, so a geometric tail that takes
+        # the current ratio for the final one falls short
+        p = IndexParams((0.1, 0.2, 0.2), (0.15, 0.15, 0.2), (1, 0, -1),
+                        (0, 1, -1), q)
+        rep = verify_pentagon_index(p)
+        diag = rep.truncation_diagnostics["sum_integral"]
+        assert diag["converged"]
+        assert rep.passed and rep.rel_residual <= 1e-8
+        assert diag["abs_error_estimate"] >= rep.abs_residual
+
 
 class TestGamma:
     def test_sphere_resolved_passes(self):
@@ -121,6 +135,32 @@ class TestGamma:
         a = eval_gamma_lhs(GAMMA_POINT)
         b = eval_gamma_lhs(swapped)
         assert b.value == pytest.approx(a.value, rel=1e-8)
+
+    @pytest.mark.parametrize("p", [
+        GammaParams.symmetric_point(),
+        GammaParams.balanced(0.12, 0.21, 0.17, 0.08, 1, 0, 0, 0),
+    ], ids=["symmetric", "spinning"])
+    def test_rings_follow_inverse_cube_law(self, p):
+        # sum(alpha + beta) = 1 gives r_M = 4 M^{-3} (1 + O(M^{-2})), the
+        # law behind the m-sum's tail model; printed rings are (-1)^M times
+        # the resolved ones
+        def ring(M, signed):
+            return sum(integrate_real_line(
+                _gamma_term_integrand(p, m, signed)).value for m in (M, -M))
+
+        assert abs(32**3 * ring(32, True) - 4) <= 1e-3
+        for M in (31, 32):
+            assert ring(M, False) == pytest.approx((-1) ** M * ring(M, True),
+                                                   rel=1e-12)
+
+    def test_criterion_points_converge_cheaply(self):
+        rng = np.random.default_rng(5)
+        points = [GammaParams.symmetric_point()]
+        points += [sample_gamma(rng) for _ in range(25)]
+        for p in points:
+            diag = verify_pentagon_gamma(p).truncation_diagnostics
+            assert diag["sum_integral"]["converged"], p
+            assert diag["sum_integral"]["evaluations"] <= 25_000, p
 
     def test_symmetric_point_closed_form(self):
         from scipy.special import gamma as sgamma

@@ -7,6 +7,7 @@ import pytest
 
 from pentaq.integrators import (
     QuadratureResult,
+    Tail,
     integrate_real_line,
     integrate_unit_circle,
     sum_over_integers,
@@ -89,7 +90,7 @@ class TestBilateralSum:
     def test_algebraic_tail_coth(self):
         # sum 1/(1+m^2) = pi coth(pi); algebraic decay stresses the tail fit
         res = sum_over_integers(
-            lambda m: 1 / (1 + m**2),
+            lambda m: 1 / (1 + m**2), Tail(power=2, leading=2.0),
             policy=TruncationPolicy(sum_tail_tol=1e-6),
         )
         expected = math.pi / math.tanh(math.pi)
@@ -101,9 +102,21 @@ class TestBilateralSum:
         from scipy.special import zeta
 
         res = sum_over_integers(
-            lambda m: (-1) ** abs(m) / abs(m) ** 3 if m != 0 else 0.0)
+            lambda m: (-1) ** abs(m) / abs(m) ** 3 if m != 0 else 0.0,
+            Tail(power=3, leading=2.0, alternating=True))
         expected = -2 * 0.75 * zeta(3)
         assert res.value == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("s", [3, 5, 11])
+    @pytest.mark.parametrize("M", [8, 13, 64])
+    def test_alternating_hurwitz_tail(self, s, M):
+        # sum_{m>M} (-1)^m m^{-s} in closed form against a direct partial
+        # sum; halving its last term leaves an error of order s N^{-s-1}
+        m = np.arange(M + 1, 1_000_002, dtype=float)
+        terms = (-1.0) ** m * m ** -float(s)
+        terms[-1] *= 0.5
+        closed = Tail(power=s, alternating=True)._power_sums(s, M)
+        assert closed == pytest.approx(math.fsum(terms), rel=1e-14, abs=0)
 
     def test_linearity(self):
         f = lambda m: 2.0 ** (-abs(m))
