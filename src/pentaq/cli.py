@@ -199,7 +199,7 @@ def verify(identity, params_path, random_count, seed, tol, convention,
             results.append(f"{type(exc).__name__}: {exc}")
             continue
         if tol is not None:
-            rep = replace(rep, target=tol, passed=rep.rel_residual <= tol)
+            rep = replace(rep, target=tol)
         results.append(rep)
     reports = [res for res in results if not isinstance(res, str)]
 

@@ -128,7 +128,8 @@ OMEGA_PHASE = math.pi / 4
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """One identity verified at one parameter point."""
+    """One identity verified at one parameter point; it passes when the
+    relative residual is within ``target``."""
 
     identity_id: IdentityId
     parameters: dict
@@ -137,12 +138,15 @@ class VerificationReport:
     abs_residual: float
     rel_residual: float
     target: float
-    passed: bool
     rhs_alternate: complex | None = None
     constant_fit: float | None = None
     truncation_diagnostics: dict = field(default_factory=dict)
     wall_time: float = 0.0
     notes: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.rel_residual <= self.target
 
     def to_record(self) -> dict:
         rec = {
@@ -166,12 +170,10 @@ class VerificationReport:
 
 
 def _make_report(identity_id: IdentityId, parameters: dict, lhs: complex,
-                 rhs: complex, started: float, target: float | None = None,
-                 **extra) -> VerificationReport:
+                 rhs: complex, started: float, **extra) -> VerificationReport:
     # Python floats: a numpy bool_ in ``passed`` would not serialize to JSON
     abs_res = float(abs(lhs - rhs))
     rel_res = float(abs_res / max(abs(lhs), abs(rhs), _RESIDUAL_FLOOR))
-    target = DEFAULT_TARGETS[identity_id] if target is None else target
     return VerificationReport(
         identity_id=identity_id,
         parameters=parameters,
@@ -179,8 +181,7 @@ def _make_report(identity_id: IdentityId, parameters: dict, lhs: complex,
         rhs=rhs,
         abs_residual=abs_res,
         rel_residual=rel_res,
-        target=target,
-        passed=rel_res <= target,
+        target=DEFAULT_TARGETS[identity_id],
         wall_time=time.perf_counter() - started,
         **extra,
     )
@@ -191,21 +192,22 @@ def _sum_of_integrals(integrate_term, tail: Tail, policy: TruncationPolicy,
     """Sum over integers m of the integrals ``integrate_term(m)``.
 
     The result is the outer sum's, except that it counts the evaluations of
-    all inner integrals and reports the larger of the outer and the largest
-    inner tail estimate.
+    all inner integrals and adds their error estimates to its own.  The
+    inner integrals cover their whole contour, so the tail estimate is the
+    outer sum's alone.
     """
-    evaluations, inner_tail = 0, 0.0
+    evaluations, inner_error = 0, 0.0
 
     def term(m_sum: int) -> complex:
-        nonlocal evaluations, inner_tail
+        nonlocal evaluations, inner_error
         res = integrate_term(m_sum)
         evaluations += res.evaluations
-        inner_tail = max(inner_tail, res.tail_estimate)
+        inner_error += res.abs_error_estimate
         return res.value
 
     outer = sum_over_integers(term, tail, policy)
     return replace(outer, evaluations=evaluations,
-                   tail_estimate=max(outer.tail_estimate, inner_tail))
+                   abs_error_estimate=outer.abs_error_estimate + inner_error)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +233,6 @@ def verify_operator_pentagon(max_degree: int, q) -> VerificationReport:
         abs_residual=residual,
         rel_residual=residual,
         target=DEFAULT_TARGETS[IdentityId.OPERATOR],
-        passed=rep.exact_zero,
         wall_time=time.perf_counter() - started,
         notes="max |coefficient| of LHS - RHS in exact arithmetic",
     )
@@ -294,10 +295,10 @@ def eval_hyperbolic_lhs(p: HyperbolicParams,
                         policy: TruncationPolicy = DEFAULT_POLICY,
                         ) -> QuadratureResult:
     """Contour integral of the three-kernel product along u = i t, t real,
-    with measure dt / sqrt(omega1 omega2)."""
+    with measure dt / sqrt(omega1 omega2), over the integrand's support:
+    beyond it the exponentials of the integrand overflow."""
     f = _hyperbolic_integrand(p, policy)
-    radius = _support_radius(f)
-    return integrate_real_line(f, policy, u_max=radius)
+    return integrate_real_line(f, policy, u_max=_support_radius(f))
 
 
 def eval_hyperbolic_rhs(p: HyperbolicParams,
@@ -623,8 +624,7 @@ def eval_beta_lhs(p: BetaParams, policy: TruncationPolicy = DEFAULT_POLICY,
     condition the two integrands differ by the factor pi / sin pi(b_3 - s).
     """
     resolved = _check_convention(convention)
-    return integrate_real_line(_beta_integrand(p, resolved), policy,
-                               u_max=200.0)
+    return integrate_real_line(_beta_integrand(p, resolved), policy)
 
 
 def eval_beta_rhs(p: BetaParams, convention: str = "resolved") -> complex:

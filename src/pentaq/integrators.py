@@ -4,13 +4,15 @@ sums over all integers whose tail follows a model the caller names.
 The three engines share a common result type carrying the value, a
 conservative error estimate, evaluation counts, and an explicit tail
 estimate, so that identity-level reports can expose exactly how much of the
-answer came from extrapolation.
+answer came from extrapolation.  Only the sum extrapolates: both quadratures
+cover their whole contour (the real line through u = L tan theta) and
+report a tail estimate of 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
@@ -71,13 +73,21 @@ def _refine(level, n0: int, policy: TruncationPolicy) -> QuadratureResult:
     """Evaluate ``level(n)``, a quadrature rule on n nodes, at n = n0, 2 n0,
     4 n0, ... until two successive levels agree to
     max(abs_tol, rel_tol * |value|) or ``policy.max_refinements`` doublings
-    are spent.  The error estimate is the last difference between levels."""
+    are spent.  The error estimate is the last difference between levels.
+    A level that is not finite raises ConvergenceError."""
+
+    def finite_level(n: int) -> complex:
+        value = level(n)
+        if not np.isfinite(value):
+            raise ConvergenceError(f"quadrature level on {n} nodes is {value}")
+        return value
+
     n = n0
-    prev = level(n)
+    prev = finite_level(n)
     evaluations = n
     for refinements in range(1, policy.max_refinements + 1):
         n *= 2
-        value = level(n)
+        value = finite_level(n)
         evaluations += n
         err = abs(value - prev)
         prev = value
@@ -96,15 +106,19 @@ def _refine(level, n0: int, policy: TruncationPolicy) -> QuadratureResult:
 
 
 def integrate_real_line(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
-                        u_max: float = 1e6) -> QuadratureResult:
-    """Integral of `integrand` over the whole real line.
+                        u_max: float = math.inf) -> QuadratureResult:
+    """Integral of `integrand` over |u| < u_max, by default the whole line.
 
-    Uses the compactifying change of variable u = L tan(theta) with the
-    midpoint rule on theta, refined by doubling the node count until two
-    successive levels agree to max(abs_tol, rel_tol * |value|).  The grid
-    covers |u| <= u_max; the remainder is corrected by a power-law fit
-    c |u|^{-p} anchored at the outermost nodes, and the correction size is
-    reported as ``tail_estimate``.
+    The change of variable u = L tan(theta) maps it to theta in
+    (-atan(u_max / L), atan(u_max / L)), where the midpoint rule is refined
+    by doubling until two levels agree to max(abs_tol, rel_tol * |value|).
+    On the whole line, decay like an even power |u|^{-2k} gives a smooth
+    pi-periodic function of theta, on which the midpoint rule is the
+    exponentially convergent trapezoid rule (Trefethen and Weideman, SIAM
+    Rev. 2014); so no tail model is needed and ``tail_estimate`` is 0.
+    Odd powers such as (1 + u^2)^{-3/2} leave a kink at theta = +-pi/2 and
+    converge only algebraically (131k evaluations, error 2.4e-11).  A finite
+    ``u_max`` keeps the nodes on an integrand's support.
     """
     L = _tune_scale(integrand)
     theta_max = math.atan(u_max / L)
@@ -116,30 +130,7 @@ def integrate_real_line(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
         w = L / np.cos(theta) ** 2 * h
         return complex(np.sum(np.asarray(integrand(u), dtype=complex) * w))
 
-    grid = _refine(level, 64, policy)
-
-    # power-law tail beyond |u| = u_max:  integral_{U}^{inf} c u^{-p} du
-    # = f(U) * U / (p - 1), with p fitted from the outer decade of nodes
-    tail = 0.0 + 0.0j
-    for sign in (-1.0, 1.0):
-        u_far = sign * np.array([u_max / 4, u_max / 2, u_max]) * 0.999
-        vals = np.asarray(integrand(u_far), dtype=complex)
-        mags = np.abs(vals)
-        if mags[-1] == 0 or not np.all(np.isfinite(mags)) or np.any(mags == 0):
-            continue
-        p = -np.polyfit(np.log(np.abs(u_far)), np.log(mags), 1)[0]
-        if p > 1.2:
-            tail += vals[-1] * u_max / (p - 1)
-
-    # The fitted power law is only accurate to a few percent, so a slice of
-    # the tail correction is charged to the reported uncertainty.
-    return replace(
-        grid,
-        value=grid.value + tail,
-        abs_error_estimate=float(grid.abs_error_estimate + 0.05 * abs(tail)),
-        evaluations=grid.evaluations + 6,  # three tail nodes per side
-        tail_estimate=float(abs(tail)),
-    )
+    return _refine(level, 64, policy)
 
 
 def integrate_unit_circle(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
@@ -225,8 +216,8 @@ def sum_over_integers(term, tail: Tail = Tail(),
     ring 8 on, the running sum is corrected by the remainder that the
     caller's tail model predicts, until the model's error estimate is below
     max(sum_tail_tol, sum_tail_tol * |estimate|), or else ``converged`` is
-    False after ``_MAX_RINGS`` rings.  Rings growing eight times in a row
-    raise ConvergenceError.
+    False after ``_MAX_RINGS`` rings.  Rings growing eight times in a row,
+    or a running sum that is not finite, raise ConvergenceError.
     """
     total = complex(term(0))
     rings: list[complex] = []
@@ -236,6 +227,9 @@ def sum_over_integers(term, tail: Tail = Tail(),
     for M in range(1, _MAX_RINGS + 1):
         r = complex(term(M)) + complex(term(-M))
         total += r
+        if not np.isfinite(total):
+            raise ConvergenceError(
+                f"sum_over_integers: non-finite sum {total} at |m| = {M}")
         rings.append(r)
 
         grow_streak = (grow_streak + 1

@@ -162,6 +162,19 @@ class TestGamma:
             assert diag["sum_integral"]["converged"], p
             assert diag["sum_integral"]["evaluations"] <= 25_000, p
 
+    def test_error_estimate_covers_residual(self):
+        # the sum-integral's estimate, which counts the inner integrals'
+        # errors too, bounds the actual error up to a rounding floor
+        rng = np.random.default_rng(5)
+        points = [GammaParams.symmetric_point()]
+        points += [sample_gamma(rng) for _ in range(25)]
+        floor = 100 * np.finfo(float).eps
+        for p in points:
+            rep = verify_pentagon_gamma(p)
+            estimate = rep.truncation_diagnostics["sum_integral"][
+                "abs_error_estimate"]
+            assert estimate + floor * abs(rep.rhs) >= rep.abs_residual, p
+
     def test_symmetric_point_closed_form(self):
         from scipy.special import gamma as sgamma
 

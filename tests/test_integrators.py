@@ -49,6 +49,18 @@ class TestRealLine:
                     "refinements_used", "tail_estimate", "converged"):
             assert key in rec
 
+    @pytest.mark.parametrize("f, expected", [
+        (lambda u: 1 / (1 + u**2), math.pi),
+        (lambda u: 1 / (1 + (u - 3) ** 2), math.pi),
+        (lambda u: 1 / (1 + u**2) ** 2, math.pi / 2),
+    ], ids=["lorentzian", "shifted", "squared"])
+    def test_algebraic_decay_needs_no_tail(self, f, expected):
+        # even-power decay is smooth and periodic in theta on the whole
+        # line, so the midpoint rule converges exponentially with no tail
+        res = integrate_real_line(f)
+        assert res.value == pytest.approx(expected, rel=1e-13)
+        assert res.tail_estimate == 0
+
     def test_tighter_policy_does_not_hurt(self):
         loose = integrate_real_line(lambda u: 1 / (1 + u**2))
         tight = integrate_real_line(lambda u: 1 / (1 + u**2),
@@ -71,6 +83,10 @@ class TestUnitCircle:
         a = 0.45 + 0.2j
         res = integrate_unit_circle(lambda z: 1 / (1 - a * z))
         assert res.value == pytest.approx(1.0, abs=1e-12)
+
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(ConvergenceError, match="nan"):
+            integrate_unit_circle(lambda z: np.full(z.shape, np.nan))
 
     def test_doubling_detects_convergence(self):
         res = integrate_unit_circle(lambda z: np.exp(z))
@@ -128,6 +144,11 @@ class TestBilateralSum:
     def test_divergent_series_detected(self):
         with pytest.raises(ConvergenceError):
             sum_over_integers(lambda m: float(1 + m**2))
+
+    def test_non_finite_ring_raises(self):
+        with pytest.raises(ConvergenceError, match=r"\|m\| = 10"):
+            sum_over_integers(
+                lambda m: math.nan if abs(m) == 10 else 2.0 ** (-abs(m)))
 
     def test_result_fields(self):
         res = sum_over_integers(lambda m: 2.0 ** (-abs(m)))
