@@ -3,25 +3,21 @@ pentagon identities (five-term relations) and two gamma-function limits.
 
 Layers:
 
-- :mod:`pentaq.special_functions` — gamma, q-Pochhammer, hyperbolic gamma,
-  dilogarithms, and the shared truncation policy.
+- :mod:`pentaq.special_functions` — gamma, q-Pochhammer, hyperbolic gamma
+  and dilogarithms.
 - :mod:`pentaq.weyl_series` — exact series algebra in two q-commuting
   variables for the operator pentagon identity.
 - :mod:`pentaq.kernels` — the four B kernels and balanced parameter sets.
 - :mod:`pentaq.integrators` — real-line quadrature, unit-circle quadrature,
-  and integer sums whose tail model the caller names.
+  integer sums whose tail model the caller names, and the truncation policy
+  they share.
 - :mod:`pentaq.identities` — LHS/RHS evaluators, verification reports, and
   the two limit studies.
 - :mod:`pentaq.cli` — the ``pentaq`` command-line front end.
 """
 
-from .special_functions import (
-    ModularPair,
-    TruncationPolicy,
-    DEFAULT_POLICY,
-    PoleError,
-    ConvergenceError,
-)
+from .special_functions import ModularPair, PoleError, ConvergenceError
+from .integrators import TruncationPolicy, DEFAULT_POLICY
 from .kernels import (
     BetaParams,
     GammaParams,

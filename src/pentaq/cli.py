@@ -27,8 +27,8 @@ import numpy as np
 from . import identities as idn
 from . import kernels as krn
 from .identities import IdentityId
+from .integrators import DEFAULT_POLICY
 from .special_functions import (
-    DEFAULT_POLICY,
     ConvergenceError,
     ModularPair,
     bernoulli_b22,
@@ -156,7 +156,6 @@ def main() -> None:
 @click.option("--max-degree", type=click.IntRange(min=1), default=10,
               show_default=True,
               help="Truncation degree for the operator identity.")
-@click.option("--product-tail-tol", type=float, default=None)
 @click.option("--quadrature-abs-tol", type=float, default=None)
 @click.option("--quadrature-rel-tol", type=float, default=None)
 @click.option("--sum-tail-tol", type=float, default=None)
@@ -164,9 +163,12 @@ def main() -> None:
 def verify(identity, params_path, random_count, seed, tol, convention,
            report_path, max_degree, **overrides) -> None:
     """Verify one identity over a set of parameter points."""
-    policy = replace(DEFAULT_POLICY, **{name: value for name, value
-                                        in overrides.items()
-                                        if value is not None})
+    try:
+        policy = replace(DEFAULT_POLICY, **{name: value for name, value
+                                            in overrides.items()
+                                            if value is not None})
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     if identity == "operator":
         if params_path or random_count:
             raise click.UsageError(

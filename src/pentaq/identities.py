@@ -38,8 +38,10 @@ from enum import Enum
 import numpy as np
 
 from .integrators import (
+    DEFAULT_POLICY,
     QuadratureResult,
     Tail,
+    TruncationPolicy,
     integrate_real_line,
     integrate_unit_circle,
     sum_over_integers,
@@ -55,9 +57,7 @@ from .kernels import (
     b_idx,
 )
 from .special_functions import (
-    DEFAULT_POLICY,
     ModularPair,
-    TruncationPolicy,
     gamma as gamma_fn,
     log_gamma,
     log_hyperbolic_gamma,
@@ -118,18 +118,25 @@ DEFAULT_TARGETS = {
 
 _RESIDUAL_FLOOR = 1e-300
 
-# The nomes of the q -> 1 study and the grid of the omega2 -> infinity study:
-# points z, radii T and the phase of the ray omega2 = T e^{-i phase}.
+# The nomes of the q -> 1 study and its contour probes z = q^{i u}, and the
+# grid of the omega2 -> infinity study: points z, radii T and the phase of
+# the ray omega2 = T e^{-i phase}.
 Q_TO_1_SEQUENCE = (0.9, 0.95, 0.99)
+Q_TO_1_U_PROBES = (0.1, 0.35)
 OMEGA_Z_VALUES = (0.17, 0.3, 0.42)
 OMEGA_T_SEQUENCE = (5.0, 10.0, 20.0)
 OMEGA_PHASE = math.pi / 4
+# The radii at which _support_radius looks for the hyperbolic integrand's
+# support, inside out; the last one is the cap.
+_SUPPORT_RADII = (4.0, 8.0, 16.0, 32.0, 64.0)
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """One identity verified at one parameter point; it passes when the
-    relative residual is within ``target``."""
+    """One identity verified at one parameter point.  It passes when the
+    engine behind the LHS converged, the relative residual is within
+    ``target`` and the engine's error estimate within ``target * |rhs|``;
+    the record carries those engine fields in ``truncation_diagnostics``."""
 
     identity_id: IdentityId
     parameters: dict
@@ -143,10 +150,14 @@ class VerificationReport:
     truncation_diagnostics: dict = field(default_factory=dict)
     wall_time: float = 0.0
     notes: str = ""
+    converged: bool = True
+    abs_error_estimate: float = 0.0
 
     @property
     def passed(self) -> bool:
-        return self.rel_residual <= self.target
+        return (self.converged and self.rel_residual <= self.target
+                and self.abs_error_estimate
+                <= self.target * abs(complex(self.rhs)))
 
     def to_record(self) -> dict:
         rec = {
@@ -170,10 +181,16 @@ class VerificationReport:
 
 
 def _make_report(identity_id: IdentityId, parameters: dict, lhs: complex,
-                 rhs: complex, started: float, **extra) -> VerificationReport:
+                 rhs: complex, started: float,
+                 engine: QuadratureResult | None = None,
+                 **extra) -> VerificationReport:
     # Python floats: a numpy bool_ in ``passed`` would not serialize to JSON
     abs_res = float(abs(lhs - rhs))
     rel_res = float(abs_res / max(abs(lhs), abs(rhs), _RESIDUAL_FLOOR))
+    if engine is not None:
+        extra.update(constant_fit=float((lhs / rhs).real),
+                     converged=engine.converged,
+                     abs_error_estimate=engine.abs_error_estimate)
     return VerificationReport(
         identity_id=identity_id,
         parameters=parameters,
@@ -256,11 +273,11 @@ def verify_classical_pentagon(x: float, y: float) -> VerificationReport:
 # hyperbolic pentagon
 # ---------------------------------------------------------------------------
 
-def _hyperbolic_integrand(p: HyperbolicParams, policy: TruncationPolicy):
+def _hyperbolic_integrand(p: HyperbolicParams):
     """Vectorized integrand of the hyperbolic identity along u = i t."""
     om = p.omega
     measure = 1.0 / np.sqrt(om.omega1 * om.omega2)
-    center = sum(log_hyperbolic_gamma(p.a[i] + p.b[i], om, policy)
+    center = sum(log_hyperbolic_gamma(p.a[i] + p.b[i], om)
                  for i in range(3))
 
     def f(t):
@@ -268,27 +285,24 @@ def _hyperbolic_integrand(p: HyperbolicParams, policy: TruncationPolicy):
         u = 1j * t
         s = -center * np.ones(t.shape, dtype=complex)
         for i in range(3):
-            s = s + log_hyperbolic_gamma(p.a[i] + u, om, policy)
-            s = s + log_hyperbolic_gamma(p.b[i] - u, om, policy)
+            s = s + log_hyperbolic_gamma(p.a[i] + u, om)
+            s = s + log_hyperbolic_gamma(p.b[i] - u, om)
         return np.exp(s) * measure
 
     return f
 
 
-def _support_radius(f, start: float = 4.0, cap: float = 64.0,
-                    drop: float = 160.0) -> float:
-    """Walk outward until the integrand magnitude has fallen by e^{-drop}
-    relative to its center value (exponential decay makes this cheap)."""
+def _support_radius(f) -> float:
+    """The first radius in _SUPPORT_RADII at which the integrand magnitude
+    has fallen by e^{-160} relative to its center value, else the cap
+    (exponential decay makes this cheap)."""
     peak = abs(complex(np.asarray(f(np.array([0.0])), dtype=complex)[0]))
-    if peak == 0:
-        return cap
-    t = start
-    while t < cap:
-        vals = np.abs(np.asarray(f(np.array([-t, t])), dtype=complex))
-        if float(np.max(vals)) < peak * math.exp(-drop):
-            return t
-        t *= 2
-    return cap
+    if peak > 0:
+        for t in _SUPPORT_RADII[:-1]:
+            vals = np.abs(np.asarray(f(np.array([-t, t])), dtype=complex))
+            if float(np.max(vals)) < peak * math.exp(-160):
+                return t
+    return _SUPPORT_RADII[-1]
 
 
 def eval_hyperbolic_lhs(p: HyperbolicParams,
@@ -297,15 +311,14 @@ def eval_hyperbolic_lhs(p: HyperbolicParams,
     """Contour integral of the three-kernel product along u = i t, t real,
     with measure dt / sqrt(omega1 omega2), over the integrand's support:
     beyond it the exponentials of the integrand overflow."""
-    f = _hyperbolic_integrand(p, policy)
+    f = _hyperbolic_integrand(p)
     return integrate_real_line(f, policy, u_max=_support_radius(f))
 
 
-def eval_hyperbolic_rhs(p: HyperbolicParams,
-                        policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def eval_hyperbolic_rhs(p: HyperbolicParams) -> complex:
     """Two-kernel product side of the hyperbolic identity."""
-    return (b_hyp(p.a[0] + p.b[1], p.a[2] + p.b[0], p.omega, policy)
-            * b_hyp(p.a[1] + p.b[0], p.a[2] + p.b[1], p.omega, policy))
+    return (b_hyp(p.a[0] + p.b[1], p.a[2] + p.b[0], p.omega)
+            * b_hyp(p.a[1] + p.b[0], p.a[2] + p.b[1], p.omega))
 
 
 def verify_pentagon_hyperbolic(p: HyperbolicParams,
@@ -313,10 +326,10 @@ def verify_pentagon_hyperbolic(p: HyperbolicParams,
                                ) -> VerificationReport:
     started = time.perf_counter()
     lhs_result = eval_hyperbolic_lhs(p, policy)
-    rhs = eval_hyperbolic_rhs(p, policy)
+    rhs = eval_hyperbolic_rhs(p)
     return _make_report(
         IdentityId.HYPERBOLIC, p.to_record(), lhs_result.value, rhs, started,
-        constant_fit=float((lhs_result.value / rhs).real),
+        engine=lhs_result,
         truncation_diagnostics={"integral": lhs_result.to_record()},
     )
 
@@ -325,8 +338,7 @@ def verify_pentagon_hyperbolic(p: HyperbolicParams,
 # index pentagon
 # ---------------------------------------------------------------------------
 
-def _index_term_integrand(p: IndexParams, m_sum: int, signed: bool,
-                          policy: TruncationPolicy):
+def _index_term_integrand(p: IndexParams, m_sum: int, signed: bool):
     """Integrand on the unit circle for one term of the integer sum.
 
     The monomial factors of the three kernels combine into the single-valued
@@ -345,8 +357,8 @@ def _index_term_integrand(p: IndexParams, m_sum: int, signed: bool,
     scalar = weight
     for i in range(3):
         tot = (p.n[i] + p.m[i]) / 2
-        scalar *= (qpoch_inf(q ** tot * a[i] * b[i], q, policy)
-                   / qpoch_inf(q ** (1 + tot) / (a[i] * b[i]), q, policy))
+        scalar *= (qpoch_inf(q ** tot * a[i] * b[i], q)
+                   / qpoch_inf(q ** (1 + tot) / (a[i] * b[i]), q))
         scalar *= a[i] ** ((p.m[i] - m_sum) / 2) * b[i] ** ((p.n[i] + m_sum) / 2)
 
     def f(z):
@@ -355,10 +367,10 @@ def _index_term_integrand(p: IndexParams, m_sum: int, signed: bool,
         for i in range(3):
             sn = p.n[i] + m_sum
             sm = p.m[i] - m_sum
-            v = v * (qpoch_inf(q ** (1 + sn / 2) / (a[i] * z), q, policy)
-                     / qpoch_inf(q ** (sn / 2) * a[i] * z, q, policy))
-            v = v * (qpoch_inf(q ** (1 + sm / 2) * z / b[i], q, policy)
-                     / qpoch_inf(q ** (sm / 2) * b[i] / z, q, policy))
+            v = v * (qpoch_inf(q ** (1 + sn / 2) / (a[i] * z), q)
+                     / qpoch_inf(q ** (sn / 2) * a[i] * z, q))
+            v = v * (qpoch_inf(q ** (1 + sm / 2) * z / b[i], q)
+                     / qpoch_inf(q ** (sm / 2) * b[i] / z, q))
         return v
 
     return f
@@ -374,12 +386,11 @@ def eval_index_lhs(p: IndexParams, policy: TruncationPolicy = DEFAULT_POLICY,
     signed = _check_convention(convention)
     return _sum_of_integrals(
         lambda m_sum: integrate_unit_circle(
-            _index_term_integrand(p, m_sum, signed, policy), policy),
+            _index_term_integrand(p, m_sum, signed), policy),
         Tail(alternating=not signed), policy)
 
 
-def eval_index_rhs(p: IndexParams, form: str = "TWO_B",
-                   policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def eval_index_rhs(p: IndexParams, form: str = "TWO_B") -> complex:
     """Product side of the index identity.
 
     ``form="TWO_B"``: the two-kernel product
@@ -389,10 +400,8 @@ def eval_index_rhs(p: IndexParams, form: str = "TWO_B",
     """
     a, b, n, m, q = p.a, p.b, p.n, p.m, p.q
     if form == "TWO_B":
-        return (b_idx(a[0] * b[1], n[0] + m[1], a[2] * b[0], n[2] + m[0], q,
-                      policy)
-                * b_idx(a[1] * b[0], n[1] + m[0], a[2] * b[1], n[2] + m[1], q,
-                        policy))
+        return (b_idx(a[0] * b[1], n[0] + m[1], a[2] * b[0], n[2] + m[0], q)
+                * b_idx(a[1] * b[0], n[1] + m[0], a[2] * b[1], n[2] + m[1], q))
     if form == "NINE_FACTOR":
         pref = 2.0
         for i in range(3):
@@ -401,8 +410,8 @@ def eval_index_rhs(p: IndexParams, form: str = "TWO_B",
         for i in range(3):
             for j in range(3):
                 e = (m[i] + n[j]) / 2
-                val *= (qpoch_inf(q ** (1 + e) / (a[i] * b[j]), q, policy)
-                        / qpoch_inf(q ** e * a[i] * b[j], q, policy))
+                val *= (qpoch_inf(q ** (1 + e) / (a[i] * b[j]), q)
+                        / qpoch_inf(q ** e * a[i] * b[j], q))
         return val
     raise ValueError(f"unknown form {form!r}")
 
@@ -419,14 +428,14 @@ def verify_pentagon_index(p: IndexParams,
     started = time.perf_counter()
     signed = _check_convention(convention)
     lhs_result = eval_index_lhs(p, policy, convention)
-    two_b = eval_index_rhs(p, "TWO_B", policy)
-    nine = eval_index_rhs(p, "NINE_FACTOR", policy)
+    two_b = eval_index_rhs(p, "TWO_B")
+    nine = eval_index_rhs(p, "NINE_FACTOR")
     sign = (-1.0) ** p.n[2] if signed else 1.0
     rhs = sign * two_b
     return _make_report(
         IdentityId.INDEX, p.to_record(), lhs_result.value, rhs, started,
+        engine=lhs_result,
         rhs_alternate=nine,
-        constant_fit=float((lhs_result.value / rhs).real),
         truncation_diagnostics={
             "sum_integral": lhs_result.to_record(),
             "lhs_over_nine_factor": [
@@ -552,8 +561,8 @@ def verify_pentagon_gamma(p: GammaParams,
     return _make_report(
         IdentityId.GAMMA_SUM_INTEGRAL, p.to_record(),
         lhs_result.value, rhs, started,
+        engine=lhs_result,
         rhs_alternate=sign * nine,
-        constant_fit=float((lhs_result.value / rhs).real),
         truncation_diagnostics={
             "sum_integral": lhs_result.to_record(),
             "reflection_factor": t_factor,
@@ -667,8 +676,7 @@ def verify_pentagon_beta(p: BetaParams,
     rhs = eval_beta_rhs(p, convention)
     return _make_report(
         IdentityId.BETA_INTEGRAL, p.to_record(), lhs_result.value, rhs,
-        started,
-        constant_fit=float((lhs_result.value / rhs).real),
+        started, engine=lhs_result,
         truncation_diagnostics={"integral": lhs_result.to_record()},
         notes=("resolved: Barnes' second lemma, 1/Gamma(1-b_3+s) in place "
                "of the printed Gamma(b_3-s)" if resolved else
@@ -707,29 +715,25 @@ class LimitStudyResult:
         }
 
 
-def _regularized_kernel_distance(p: GammaParams, q: float,
-                                 policy: TruncationPolicy,
-                                 u_probes=(0.1, 0.35)) -> float:
+def _regularized_kernel_distance(p: GammaParams, q: float) -> float:
     """Distance between the (1-q)-regularized index kernel and the discrete
     gamma kernel it degenerates to, maximized over kernel slots and contour
     probe points z = q^{i u}."""
     lq = math.log(q)
     worst = 0.0
     for i in range(3):
-        for u in u_probes:
+        for u in Q_TO_1_U_PROBES:
             a_arg = p.alpha[i] + 1j * u
             b_arg = p.beta[i] - 1j * u
             idx_val = (1 - q) * b_idx(np.exp(a_arg * lq), p.n[i],
-                                      np.exp(b_arg * lq), p.m[i], q, policy)
+                                      np.exp(b_arg * lq), p.m[i], q)
             gamma_val = complex(b_gamma_disc(a_arg, p.n[i], b_arg, p.m[i]))
             worst = max(worst, abs(idx_val - gamma_val)
                         / max(abs(gamma_val), _RESIDUAL_FLOOR))
     return worst
 
 
-def limit_study_q_to_1(p_gamma: GammaParams,
-                       policy: TruncationPolicy = DEFAULT_POLICY,
-                       ) -> LimitStudyResult:
+def limit_study_q_to_1(p_gamma: GammaParams) -> LimitStudyResult:
     """Degeneration of the index identity toward the gamma identity.
 
     Three layers per q: an exact telescoping probe of the regularized
@@ -743,10 +747,10 @@ def limit_study_q_to_1(p_gamma: GammaParams,
     rows = []
     half_errors = []
     for q in Q_TO_1_SEQUENCE:
-        probe_exact = abs(qpoch_ratio_regularized(1, 2, q, policy) - 1)
-        half = qpoch_ratio_regularized(0.5, 1.5, q, policy)
+        probe_exact = abs(qpoch_ratio_regularized(1, 2, q) - 1)
+        half = qpoch_ratio_regularized(0.5, 1.5, q)
         half_err = abs(half - 0.5)
-        dist = _regularized_kernel_distance(p_gamma, q, policy)
+        dist = _regularized_kernel_distance(p_gamma, q)
         half_errors.append(half_err)
         rows.append({
             "q": q,
@@ -776,8 +780,7 @@ def limit_study_q_to_1(p_gamma: GammaParams,
     )
 
 
-def limit_study_omega(policy: TruncationPolicy = DEFAULT_POLICY,
-                      ) -> LimitStudyResult:
+def limit_study_omega() -> LimitStudyResult:
     """Degeneration of the hyperbolic gamma toward the ordinary gamma.
 
     omega1 = 1 is fixed and omega2 = T e^{-i pi/4} runs along a ray to
@@ -799,7 +802,7 @@ def limit_study_omega(policy: TruncationPolicy = DEFAULT_POLICY,
         dists = []
         for T in OMEGA_T_SEQUENCE:
             omega = ModularPair(1.0, T * np.exp(-1j * OMEGA_PHASE))
-            g = np.exp(log_hyperbolic_gamma(z, omega, policy))
+            g = np.exp(log_hyperbolic_gamma(z, omega))
             base = ((omega.omega2 / (2 * math.pi)) ** (0.5 - z)
                     * gamma_fn(z))
             printed = base / (2 * math.pi)

@@ -17,9 +17,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
 
-from .special_functions import DEFAULT_POLICY, ConvergenceError, TruncationPolicy
+from .special_functions import ConvergenceError
 
 __all__ = [
+    "TruncationPolicy",
+    "DEFAULT_POLICY",
     "QuadratureResult",
     "Tail",
     "integrate_real_line",
@@ -31,6 +33,38 @@ __all__ = [
 _MAX_RINGS = 512
 # First ring after which the tail model corrects the running sum.
 _SUM_WINDOW_START = 8
+# Radii at which _tune_scale looks for the integrand's loss of mass.
+_SCALE_PROBES = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+
+
+@dataclass(frozen=True)
+class TruncationPolicy:
+    """Tolerances and refinement budget of the quadrature and sum engines."""
+
+    quadrature_abs_tol: float = 1e-12
+    quadrature_rel_tol: float = 1e-10
+    sum_tail_tol: float = 1e-10
+    max_refinements: int = 12
+
+    def __post_init__(self) -> None:
+        for name in ("quadrature_abs_tol", "quadrature_rel_tol",
+                     "sum_tail_tol"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.max_refinements < 1:
+            raise ValueError("max_refinements must be at least 1")
+
+    def doubled(self) -> "TruncationPolicy":
+        """A strictly tighter policy for convergence self-checks."""
+        return TruncationPolicy(
+            quadrature_abs_tol=self.quadrature_abs_tol * 1e-2,
+            quadrature_rel_tol=self.quadrature_rel_tol * 1e-2,
+            sum_tail_tol=self.sum_tail_tol * 1e-2,
+            max_refinements=self.max_refinements + 2,
+        )
+
+
+DEFAULT_POLICY = TruncationPolicy()
 
 
 @dataclass(frozen=True)
@@ -56,17 +90,17 @@ class QuadratureResult:
         return rec
 
 
-def _tune_scale(f, probe=(0.5, 1.0, 2.0, 4.0, 8.0, 16.0)) -> float:
+def _tune_scale(f) -> float:
     """Pick the tan-map scale L near where the integrand has lost most of
     its mass, so nodes concentrate on the support."""
     center = abs(complex(np.asarray(f(np.array([0.0])), dtype=complex)[0]))
     if center == 0 or not math.isfinite(center):
         return 4.0
-    for u in probe:
+    for u in _SCALE_PROBES:
         vals = np.asarray(f(np.array([-u, u])), dtype=complex)
         if np.max(np.abs(vals)) < 0.1 * center:
-            return max(float(u), 1.0)
-    return float(probe[-1])
+            return max(u, 1.0)
+    return _SCALE_PROBES[-1]
 
 
 def _refine(level, n0: int, policy: TruncationPolicy) -> QuadratureResult:

@@ -16,10 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special_functions import (
-    DEFAULT_POLICY,
     ModularPair,
     PoleError,
-    TruncationPolicy,
     log_gamma,
     log_hyperbolic_gamma,
     qpoch_inf,
@@ -48,17 +46,15 @@ _INDEX_Q_RANGE = (0.2, 0.5)
 # kernels
 # ---------------------------------------------------------------------------
 
-def b_hyp(x, y, omega: ModularPair,
-          policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def b_hyp(x, y, omega: ModularPair) -> complex:
     """Hyperbolic kernel gamma2(x) gamma2(y) / gamma2(x + y), in log-space."""
-    log_val = (log_hyperbolic_gamma(x, omega, policy)
-               + log_hyperbolic_gamma(y, omega, policy)
-               - log_hyperbolic_gamma(x + y, omega, policy))
+    log_val = (log_hyperbolic_gamma(x, omega)
+               + log_hyperbolic_gamma(y, omega)
+               - log_hyperbolic_gamma(x + y, omega))
     return complex(np.exp(log_val))
 
 
-def b_idx(a, n: int, b, m: int, q,
-          policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
+def b_idx(a, n: int, b, m: int, q) -> complex:
     """Index kernel: three q-Pochhammer ratios times a^{m/2} b^{n/2}.
 
         (q^{1+n/2}/a; q)   (q^{1+m/2}/b; q)   (q^{(n+m)/2} ab; q)
@@ -73,10 +69,10 @@ def b_idx(a, n: int, b, m: int, q,
     b = complex(b)
 
     def ratio(num_arg, den_arg):
-        den = qpoch_inf(den_arg, qv, policy)
+        den = qpoch_inf(den_arg, qv)
         if abs(den) < 1e-280:
             raise PoleError(f"vanishing Pochhammer factor at {den_arg}")
-        return qpoch_inf(num_arg, qv, policy) / den
+        return qpoch_inf(num_arg, qv) / den
 
     val = ratio(qv ** (1 + n / 2) / a, qv ** (n / 2) * a)
     val *= ratio(qv ** (1 + m / 2) / b, qv ** (m / 2) * b)

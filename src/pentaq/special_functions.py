@@ -22,8 +22,6 @@ __all__ = [
     "PoleError",
     "ConvergenceError",
     "ModularPair",
-    "TruncationPolicy",
-    "DEFAULT_POLICY",
     "log_gamma",
     "gamma",
     "qpoch_inf",
@@ -39,6 +37,11 @@ __all__ = [
 # Refuse hyperbolic-gamma evaluation when either nome gets this close to the
 # unit circle: the products converge too slowly to retain double precision.
 EPS_MODULAR = 1e-3
+
+# (a; q)_inf keeps its factors while |a q^k| >= _PRODUCT_TAIL_TOL, and at
+# most _MAX_FACTORS of them: below 1.1e-16 a factor 1 - a q^k rounds to 1.
+_PRODUCT_TAIL_TOL = 1e-16
+_MAX_FACTORS = 200_000
 
 
 class PoleError(ValueError):
@@ -87,41 +90,6 @@ class ModularPair:
         return self.omega1 + self.omega2
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Tolerances and cutoffs for products, sums and quadrature."""
-
-    product_tail_tol: float = 1e-16
-    series_max_terms: int = 200_000
-    quadrature_abs_tol: float = 1e-12
-    quadrature_rel_tol: float = 1e-10
-    sum_tail_tol: float = 1e-10
-    max_refinements: int = 12
-
-    def __post_init__(self) -> None:
-        for name in ("product_tail_tol", "quadrature_abs_tol",
-                     "quadrature_rel_tol", "sum_tail_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("series_max_terms", "max_refinements"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-
-    def doubled(self) -> "TruncationPolicy":
-        """A strictly tighter policy for convergence self-checks."""
-        return TruncationPolicy(
-            product_tail_tol=self.product_tail_tol * 1e-2,
-            series_max_terms=self.series_max_terms * 2,
-            quadrature_abs_tol=self.quadrature_abs_tol * 1e-2,
-            quadrature_rel_tol=self.quadrature_rel_tol * 1e-2,
-            sum_tail_tol=self.sum_tail_tol * 1e-2,
-            max_refinements=self.max_refinements + 2,
-        )
-
-
-DEFAULT_POLICY = TruncationPolicy()
-
-
 # ---------------------------------------------------------------------------
 # gamma function
 # ---------------------------------------------------------------------------
@@ -153,10 +121,11 @@ def gamma(z):
 # q-Pochhammer
 # ---------------------------------------------------------------------------
 
-def _qpoch_plan(a, q, policy: TruncationPolicy) -> tuple:
+def _qpoch_plan(a, q) -> tuple:
     """(q, a, K) for (a; q)_inf: q as a complex with |q| < 1, `a` as a
     complex array, and the number of factors K so that
-    |a q^K| < product_tail_tol (one factor, 1 - a, when a or q vanishes)."""
+    |a q^K| < _PRODUCT_TAIL_TOL, capped at _MAX_FACTORS (one factor, 1 - a,
+    when a or q vanishes)."""
     qv = complex(q)
     if abs(qv) >= 1:
         raise ValueError(f"(a;q)_inf requires |q| < 1, got |q| = {abs(qv)}")
@@ -164,23 +133,24 @@ def _qpoch_plan(a, q, policy: TruncationPolicy) -> tuple:
     a_max = float(np.max(np.abs(arr))) if arr.size else 0.0
     if a_max == 0 or qv == 0:
         return qv, arr, 1
-    target = policy.product_tail_tol / max(a_max, policy.product_tail_tol)
+    target = _PRODUCT_TAIL_TOL / max(a_max, _PRODUCT_TAIL_TOL)
     if target >= 1.0:
         k = 1
     else:
         k = int(math.ceil(math.log(target) / math.log(abs(qv)))) + 1
-    return qv, arr, min(max(k, 1), policy.series_max_terms)
+    return qv, arr, min(max(k, 1), _MAX_FACTORS)
 
 
-def qpoch_inf(a, q, policy: TruncationPolicy = DEFAULT_POLICY):
+def qpoch_inf(a, q):
     """The infinite q-Pochhammer symbol (a; q)_inf = prod_{k>=0} (1 - a q^k).
 
     `a` may be a scalar or a numpy array; `q` must satisfy |q| < 1.  The
-    product is truncated once |a q^k| drops below ``policy.product_tail_tol``
-    and a first-order multiplicative tail bound exp(-a q^K / (1-q)) is
+    product is truncated once |a q^k| drops below ``_PRODUCT_TAIL_TOL``
+    (1e-16), after at most ``_MAX_FACTORS`` (200,000) factors, and a
+    first-order multiplicative tail bound exp(-a q^K / (1-q)) is
     applied, which is sharp for geometrically decaying factors.
     """
-    qv, arr, K = _qpoch_plan(a, q, policy)
+    qv, arr, K = _qpoch_plan(a, q)
     powers = qv ** np.arange(K)
     out = np.prod(1.0 - arr[..., None] * powers, axis=-1)
     # first-order tail: sum_{k>=K} log(1 - a q^k) ~ -a q^K / (1 - q)
@@ -188,13 +158,13 @@ def qpoch_inf(a, q, policy: TruncationPolicy = DEFAULT_POLICY):
     return complex(out) if arr.ndim == 0 else out
 
 
-def log_qpoch_inf(a, q, policy: TruncationPolicy = DEFAULT_POLICY):
+def log_qpoch_inf(a, q):
     """log (a; q)_inf as a sum of principal logs (array-capable in `a`).
 
     The factor logs are accumulated in blocks so that q -> 1 evaluations
     (tens of thousands of factors) stay within memory.
     """
-    qv, arr, K = _qpoch_plan(a, q, policy)
+    qv, arr, K = _qpoch_plan(a, q)
     out = np.zeros(arr.shape, dtype=complex)
     block = 4096
     # a vanishing factor (a = q^{-k}) legitimately sends the log to -inf,
@@ -208,8 +178,7 @@ def log_qpoch_inf(a, q, policy: TruncationPolicy = DEFAULT_POLICY):
     return complex(out) if arr.ndim == 0 else out
 
 
-def qpoch_ratio_regularized(alpha, beta, q,
-                            policy: TruncationPolicy = DEFAULT_POLICY):
+def qpoch_ratio_regularized(alpha, beta, q):
     """(q^alpha; q)_inf / (q^beta; q)_inf * (1-q)^(alpha-beta), in log-space.
 
     As q -> 1 this tends to Gamma(beta)/Gamma(alpha); the regulator keeps the
@@ -219,8 +188,8 @@ def qpoch_ratio_regularized(alpha, beta, q,
     a = complex(alpha)
     b = complex(beta)
     lq = np.log(qv)
-    log_num = log_qpoch_inf(np.exp(a * lq), qv, policy)
-    log_den = log_qpoch_inf(np.exp(b * lq), qv, policy)
+    log_num = log_qpoch_inf(np.exp(a * lq), qv)
+    log_den = log_qpoch_inf(np.exp(b * lq), qv)
     if not np.isfinite(log_den):
         raise PoleError(f"(q^beta;q)_inf vanished for beta = {beta}")
     return complex(np.exp(log_num - log_den + (a - b) * np.log(1.0 - qv)))
@@ -248,8 +217,7 @@ def bernoulli_b22(u, omega):
     return complex(out) if out.ndim == 0 else out
 
 
-def log_hyperbolic_gamma(u, omega: ModularPair,
-                         policy: TruncationPolicy = DEFAULT_POLICY):
+def log_hyperbolic_gamma(u, omega: ModularPair):
     """log of the hyperbolic gamma function gamma^(2)(u; omega1, omega2).
 
     Convention (validated by the inversion relation
@@ -274,8 +242,8 @@ def log_hyperbolic_gamma(u, omega: ModularPair,
         )
     u = np.asarray(u, dtype=complex)
     b22 = bernoulli_b22(u, omega)
-    log_num = log_qpoch_inf(np.exp(2j * np.pi * u / omega.omega1) * qd, qd, policy)
-    log_den = log_qpoch_inf(np.exp(2j * np.pi * u / omega.omega2), qv, policy)
+    log_num = log_qpoch_inf(np.exp(2j * np.pi * u / omega.omega1) * qd, qd)
+    log_den = log_qpoch_inf(np.exp(2j * np.pi * u / omega.omega2), qv)
     if not np.all(np.isfinite(log_den)):
         raise PoleError("hyperbolic gamma pole: denominator factor vanished")
     if not np.all(np.isfinite(log_num)):
@@ -284,10 +252,9 @@ def log_hyperbolic_gamma(u, omega: ModularPair,
     return complex(out) if out.ndim == 0 else out
 
 
-def hyperbolic_gamma(u, omega: ModularPair,
-                     policy: TruncationPolicy = DEFAULT_POLICY):
+def hyperbolic_gamma(u, omega: ModularPair):
     """gamma^(2)(u; omega1, omega2); see log_hyperbolic_gamma."""
-    return np.exp(log_hyperbolic_gamma(u, omega, policy))
+    return np.exp(log_hyperbolic_gamma(u, omega))
 
 
 # ---------------------------------------------------------------------------

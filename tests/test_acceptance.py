@@ -28,6 +28,7 @@ from pentaq.identities import (
     verify_pentagon_hyperbolic,
     verify_pentagon_index,
 )
+from pentaq.integrators import DEFAULT_POLICY
 from pentaq.kernels import (
     GammaParams,
     b_beta,
@@ -37,7 +38,6 @@ from pentaq.kernels import (
     sample_index,
 )
 from pentaq.special_functions import (
-    DEFAULT_POLICY,
     ModularPair,
     hyperbolic_gamma,
     qpoch_inf,

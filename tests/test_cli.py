@@ -127,6 +127,30 @@ class TestVerify:
         assert [r["kind"] for r in first].count("point") == 3
         assert first == records()
 
+    def test_unconverged_points_fail(self, runner):
+        # no sum reaches a 1e-30 tail tolerance, so both end unconverged at
+        # the ring cap (two refinements keep the inner integrals cheap); a
+        # point fails then, however small its residual
+        res = runner.invoke(main, ["verify", "--identity", "gamma",
+                                   "--random", "2", "--max-refinements", "2",
+                                   "--sum-tail-tol", "1e-30"])
+        assert res.exit_code == 1, res.output
+        records = jsonl(res.output)
+        points = [r for r in records if r["kind"] == "point"]
+        assert not any(r["truncation_diagnostics"]["sum_integral"]
+                       ["converged"] for r in points)
+        assert not any(r["passed"] for r in points)
+        assert records[-1]["failed"] == 2
+
+    @pytest.mark.parametrize("option, value", [
+        ("--max-refinements", "0"), ("--sum-tail-tol", "-1"),
+        ("--quadrature-rel-tol", "0")])
+    def test_bad_policy_option_is_usage_error(self, runner, option, value):
+        res = runner.invoke(main, ["verify", "--identity", "classical",
+                                   "--random", "1", option, value])
+        assert res.exit_code == 2, res.output
+        assert "must be" in res.output
+
     def test_tol_override_can_force_failure(self, runner):
         res = runner.invoke(main, ["verify", "--identity", "hyperbolic",
                                    "--random", "1", "--tol", "1e-30"])

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a pentaq module imports is used there, and
-every function the benchmark's tracing shims rebind still exists."""
+"""Source hygiene: every name a pentaq module imports is used there, every
+function the benchmark's tracing shims rebind still exists, and the
+truncation policy stays with the engines."""
 
 import ast
 import importlib.util
@@ -62,3 +63,17 @@ def test_traced_functions_exist():
         for name in names:
             assert callable(getattr(module, name, None)), \
                 f"{module.__name__}.{name}"
+
+
+def test_policy_stops_at_engines():
+    # special functions and kernels are pure functions of their arguments;
+    # only the engines of integrators read a TruncationPolicy
+    for module in (special_functions, kernels):
+        source = Path(module.__file__).read_text(encoding="utf-8")
+        assert "TruncationPolicy" not in source, module.__name__
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                names = [a.arg for a in (args.posonlyargs + args.args
+                                         + args.kwonlyargs)]
+                assert "policy" not in names, f"{module.__name__}.{node.name}"

@@ -1,5 +1,7 @@
 """Identity evaluators: resolved conventions pass, printed ones show deficits."""
 
+from dataclasses import replace
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -34,8 +36,8 @@ from pentaq.kernels import (
     sample_hyperbolic,
     sample_index,
 )
-from pentaq.integrators import integrate_real_line
-from pentaq.special_functions import DEFAULT_POLICY
+from pentaq.integrators import DEFAULT_POLICY, integrate_real_line
+from pentaq.special_functions import ModularPair
 
 
 INDEX_POINT = IndexParams.balanced(0.12, 0.21, 0.17, 0.08,
@@ -288,3 +290,36 @@ class TestReportRecords:
         rec = limit_study_omega().to_record()
         for key in ("identity_id", "rows", "monotone", "passed"):
             assert key in rec
+
+    def test_passed_needs_convergence_and_credible_estimate(self):
+        rep = verify_pentagon_index(INDEX_POINT)
+        diag = rep.truncation_diagnostics["sum_integral"]
+        assert rep.passed
+        assert rep.converged == diag["converged"]
+        assert rep.abs_error_estimate == diag["abs_error_estimate"]
+        assert not replace(rep, converged=False).passed
+        assert not replace(rep, abs_error_estimate=2 * rep.target
+                           * abs(rep.rhs)).passed
+
+
+# the points of acceptance criteria 3, 4 and 7, drawn in the same order
+CRITERION_3_PAIRS = (ModularPair(0.4 + 0.9j, 1.0),
+                     ModularPair(0.3 + 0.7j, 1.1),
+                     ModularPair(0.6 + 1.3j, 0.9))
+
+
+@pytest.mark.parametrize("verify, sample, seed", [
+    (verify_pentagon_hyperbolic,
+     lambda rng, k: sample_hyperbolic(rng, CRITERION_3_PAIRS[k % 3]), 3),
+    (verify_pentagon_index, lambda rng, k: sample_index(rng), 4),
+    (verify_pentagon_beta, lambda rng, k: sample_beta(rng), 7),
+], ids=["hyperbolic", "index", "beta"])
+def test_error_estimate_covers_residual(verify, sample, seed):
+    # the engine's estimate bounds the actual error up to a rounding floor,
+    # as TestGamma checks for the sum-integral
+    rng = np.random.default_rng(seed)
+    floor = 100 * np.finfo(float).eps
+    for k in range(25):
+        rep = verify(sample(rng, k))
+        assert rep.abs_error_estimate + floor * abs(rep.rhs) \
+            >= rep.abs_residual, rep.parameters

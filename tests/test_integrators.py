@@ -8,11 +8,25 @@ import pytest
 from pentaq.integrators import (
     QuadratureResult,
     Tail,
+    TruncationPolicy,
     integrate_real_line,
     integrate_unit_circle,
     sum_over_integers,
 )
-from pentaq.special_functions import ConvergenceError, TruncationPolicy
+from pentaq.special_functions import ConvergenceError
+
+
+class TestPolicy:
+    def test_policy_validation(self):
+        with pytest.raises(ValueError):
+            TruncationPolicy(sum_tail_tol=-1)
+        with pytest.raises(ValueError):
+            TruncationPolicy(max_refinements=0)
+
+    def test_policy_doubled_is_tighter(self):
+        base = TruncationPolicy()
+        tight = base.doubled()
+        assert tight.quadrature_rel_tol < base.quadrature_rel_tol
 
 
 class TestRealLine:

@@ -12,7 +12,6 @@ from pentaq.special_functions import (
     ConvergenceError,
     ModularPair,
     PoleError,
-    TruncationPolicy,
     bernoulli_b22,
     dilog,
     gamma,
@@ -40,17 +39,6 @@ class TestTypes:
     def test_modular_pair_rejects_zero_period(self):
         with pytest.raises(ValueError):
             ModularPair(0.0, 1.0)
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            TruncationPolicy(product_tail_tol=-1)
-        with pytest.raises(ValueError):
-            TruncationPolicy(max_refinements=0)
-
-    def test_policy_doubled_is_tighter(self):
-        base = TruncationPolicy()
-        tight = base.doubled()
-        assert tight.product_tail_tol < base.product_tail_tol
 
 
 class TestLogGamma:
