@@ -30,6 +30,7 @@ the sum-integral.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -209,22 +210,25 @@ def _sum_of_integrals(integrate_term, tail: Tail, policy: TruncationPolicy,
     """Sum over integers m of the integrals ``integrate_term(m)``.
 
     The result is the outer sum's, except that it counts the evaluations of
-    all inner integrals and adds their error estimates to its own.  The
-    inner integrals cover their whole contour, so the tail estimate is the
-    outer sum's alone.
+    all inner integrals, adds their error estimates to its own, and is
+    converged only if every inner integral converged too.  The inner
+    integrals cover their whole contour, so the tail estimate is the outer
+    sum's alone.
     """
-    evaluations, inner_error = 0, 0.0
+    evaluations, inner_error, inner_converged = 0, 0.0, True
 
     def term(m_sum: int) -> complex:
-        nonlocal evaluations, inner_error
+        nonlocal evaluations, inner_error, inner_converged
         res = integrate_term(m_sum)
         evaluations += res.evaluations
         inner_error += res.abs_error_estimate
+        inner_converged = inner_converged and res.converged
         return res.value
 
     outer = sum_over_integers(term, tail, policy)
     return replace(outer, evaluations=evaluations,
-                   abs_error_estimate=outer.abs_error_estimate + inner_error)
+                   abs_error_estimate=outer.abs_error_estimate + inner_error,
+                   converged=outer.converged and inner_converged)
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +380,95 @@ def _index_term_integrand(p: IndexParams, m_sum: int, signed: bool):
     return f
 
 
+class _IndexGrid:
+    """Every m-term of the index integrand on the nested levels of
+    :func:`integrate_unit_circle`, for one :func:`eval_index_lhs` call.
+
+    Level j is the set of new nodes the engine passes on its j-th call, the
+    same for every term, and values are kept per (m, j).  Only the terms
+    |m| <= 1 are evaluated by :func:`_index_term_integrand`; term m > 1 is
+    term m - 2 times the step at m - 2, and term m < -1 is term m + 2
+    divided by the step at m (see :func:`eval_index_lhs`).  A term whose
+    neighbour never reached its level fills the chain from the nearest term
+    known there.
+    """
+
+    def __init__(self, p: IndexParams, signed: bool):
+        self._p, self._a, self._b = p, p.a, p.b
+        self._direct = {m: _index_term_integrand(p, m, signed)
+                        for m in (-1, 0, 1)}
+        self._ratio = math.prod(self._b) / math.prod(self._a)
+        self._nodes: list[np.ndarray] = []
+        self._values: dict[tuple[int, int], np.ndarray] = {}
+
+    def integrand(self, m_sum: int):
+        """Term ``m_sum`` as an integrand for :func:`integrate_unit_circle`,
+        whose j-th call passes level j's new nodes."""
+        calls = itertools.count()
+
+        def f(z):
+            level = next(calls)
+            if level == len(self._nodes):
+                self._nodes.append(z)
+            return self._term(m_sum, level)
+
+        return f
+
+    def _term(self, m_sum: int, level: int) -> np.ndarray:
+        # walk back to the nearest term known at this level, or a direct one
+        chain, m = [], m_sum
+        while abs(m) > 1 and (m, level) not in self._values:
+            chain.append(m)
+            m -= 2 if m > 0 else -2
+        z = self._nodes[level]
+        if (m, level) not in self._values:
+            self._values[m, level] = self._direct[m](z)
+        v = self._values[m, level]
+        for m in reversed(chain):
+            v = v * self._step(m - 2, z) if m > 0 else v / self._step(m, z)
+            self._values[m, level] = v
+        return v
+
+    def _step(self, m_sum: int, z: np.ndarray) -> np.ndarray:
+        """Term m_sum + 2 over term m_sum at the nodes z."""
+        p, q, a, b = self._p, self._p.q, self._a, self._b
+        v = self._ratio * z ** -6
+        for i in range(3):
+            qn = q ** ((p.n[i] + m_sum) / 2)
+            qm = q ** ((p.m[i] - m_sum) / 2)
+            v = v * ((1 - qn * a[i] * z) * (1 - qm * z / b[i])
+                     / ((1 - q * qn / (a[i] * z)) * (1 - qm / q * b[i] / z)))
+        return v
+
+
 def eval_index_lhs(p: IndexParams, policy: TruncationPolicy = DEFAULT_POLICY,
                    convention: str = "resolved") -> QuadratureResult:
     """Sum over m of unit-circle integrals of the three-kernel product.
 
     ``convention="resolved"`` weights term m by (-1)^m; ``"printed"`` uses
     weight +1 and reproduces the deficit of the unsigned form.
+
+    All terms share one node set per level of :func:`integrate_unit_circle`
+    (a :class:`_IndexGrid`).  The terms |m| <= 1 are evaluated directly;
+    every other term is built from its neighbour m -+ 2 at the same nodes.
+    From m to m + 2 each Pochhammer argument moves by one power of q, and
+    (xq; q)_inf = (x; q)_inf / (1 - x), so the integrand is multiplied by
+
+        z^{-6} prod_i (b_i / a_i)
+               * prod_i (1 - B_i)(1 - C_i) / ((1 - A_i)(1 - D_i)),
+
+    with A_i = q^{1+k_i/2} / (a_i z), B_i = q^{k_i/2} a_i z,
+    C_i = q^{l_i/2} z / b_i, D_i = q^{l_i/2-1} b_i / z, k_i = n_i + m and
+    l_i = m_i - m, all taken at m.  Balancing makes prod_i b_i / a_i = 1
+    only to the 1e-12 that IndexParams allows, so the step keeps it.
+    Terms m < -1 divide by the step instead.  The Pochhammer products are
+    thus computed for three terms only, and at large |m|, where their
+    ratios overflow to inf/inf, the terms stay finite.
     """
     signed = _check_convention(convention)
+    grid = _IndexGrid(p, signed)
     return _sum_of_integrals(
-        lambda m_sum: integrate_unit_circle(
-            _index_term_integrand(p, m_sum, signed), policy),
+        lambda m_sum: integrate_unit_circle(grid.integrand(m_sum), policy),
         Tail(alternating=not signed), policy)
 
 

@@ -11,6 +11,8 @@ from pentaq.identities import (
     IdentityId,
     _beta_integrand,
     _gamma_term_integrand,
+    _index_term_integrand,
+    _IndexGrid,
     equivalence_check_gamma_rhs,
     eval_beta_lhs,
     eval_beta_rhs,
@@ -36,7 +38,11 @@ from pentaq.kernels import (
     sample_hyperbolic,
     sample_index,
 )
-from pentaq.integrators import DEFAULT_POLICY, integrate_real_line
+from pentaq.integrators import (
+    DEFAULT_POLICY,
+    TruncationPolicy,
+    integrate_real_line,
+)
 from pentaq.special_functions import ModularPair
 
 
@@ -44,6 +50,16 @@ INDEX_POINT = IndexParams.balanced(0.12, 0.21, 0.17, 0.08,
                                    1, -2, 0, 1, 0.35)
 GAMMA_POINT = GammaParams.balanced(0.12, 0.21, 0.17, 0.08,
                                    1, -2, 0, 1)
+
+
+def _circle_levels(count: int) -> list:
+    """The new nodes of integrate_unit_circle's first ``count`` levels: all
+    64 roots, then the odd roots of 128, 256, ..."""
+    levels = [np.exp(2j * np.pi * np.arange(64) / 64)]
+    for j in range(1, count):
+        n = 64 * 2**j
+        levels.append(np.exp(2j * np.pi * np.arange(1, n, 2) / n))
+    return levels
 
 
 class TestOperatorAndClassical:
@@ -118,6 +134,33 @@ class TestIndex:
         assert rep.passed and rep.rel_residual <= 1e-8
         assert diag["abs_error_estimate"] >= rep.abs_residual
 
+    @pytest.mark.parametrize("signed", [True, False],
+                             ids=["resolved", "printed"])
+    def test_grid_terms_match_direct_evaluation(self, signed):
+        # terms |m| > 1 come from the m -+ 2 recurrence; over 24 steps its
+        # drift stays at rounding level (criterion 4's points, 256 roots)
+        rng = np.random.default_rng(4)
+        levels = _circle_levels(3)
+        z = np.concatenate(levels)
+        for _ in range(25):
+            p = sample_index(rng)
+            grid = _IndexGrid(p, signed)
+            for m in range(-25, 26):
+                f = grid.integrand(m)
+                got = np.concatenate([f(nodes) for nodes in levels])
+                want = _index_term_integrand(p, m, signed)(z)
+                assert np.max(np.abs(got - want)) <= \
+                    1e-12 * np.max(np.abs(want)), (p, m)
+
+    def test_grid_terms_finite_at_large_m(self):
+        # direct evaluation gives nan here: its Pochhammer ratios are inf/inf
+        p = IndexParams((0.1, 0.2, 0.2), (0.15, 0.15, 0.2), (1, 0, -1),
+                        (0, 1, -1), 0.85)
+        z = _circle_levels(1)[0]
+        grid = _IndexGrid(p, True)
+        for m in (200, -200):
+            assert np.all(np.isfinite(grid.integrand(m)(z))), m
+
 
 class TestGamma:
     def test_sphere_resolved_passes(self):
@@ -176,6 +219,17 @@ class TestGamma:
             estimate = rep.truncation_diagnostics["sum_integral"][
                 "abs_error_estimate"]
             assert estimate + floor * abs(rep.rhs) >= rep.abs_residual, p
+
+    def test_unconverged_inner_integral_is_unconverged(self):
+        # the outer sum converges, but some inner integrals run out of
+        # refinements at this policy
+        policy = TruncationPolicy(max_refinements=1, quadrature_rel_tol=1e-14,
+                                  quadrature_abs_tol=1e-16)
+        rep = verify_pentagon_gamma(sample_gamma(np.random.default_rng(0)),
+                                    policy)
+        assert not rep.converged
+        assert not rep.truncation_diagnostics["sum_integral"]["converged"]
+        assert not rep.passed
 
     def test_symmetric_point_closed_form(self):
         from scipy.special import gamma as sgamma

@@ -107,6 +107,25 @@ class TestUnitCircle:
         assert res.value == pytest.approx(1.0, abs=1e-13)
         assert res.converged
 
+    def test_levels_nest(self):
+        # each doubling evaluates only the new odd roots
+        a = 0.45 + 0.2j
+        seen = []
+
+        def f(z):
+            seen.append(z)
+            return 1 / (1 - a * z)
+
+        res = integrate_unit_circle(f)
+        n = 64 * 2**res.refinements_used
+        assert res.evaluations == n
+        roots = np.exp(2j * np.pi * np.arange(n) / n)
+        nodes = np.concatenate(seen)
+        assert nodes.size == n
+        assert np.allclose(np.sort_complex(nodes), np.sort_complex(roots),
+                           rtol=0, atol=1e-15)
+        assert abs(res.value - np.mean(1 / (1 - a * roots))) <= 1e-15
+
 
 class TestBilateralSum:
     def test_two_sided_geometric(self):
