@@ -1,12 +1,12 @@
 """Numerical engines: real-line quadrature, unit-circle quadrature, and
 sums over all integers whose tail follows a model the caller names.
 
-The three engines share a common result type carrying the value, a
-conservative error estimate, evaluation counts, and an explicit tail
-estimate, so that identity-level reports can expose exactly how much of the
-answer came from extrapolation.  Only the sum extrapolates: both quadratures
-cover their whole contour (the real line through u = L tan theta) and
-report a tail estimate of 0.
+Both quadratures are one rule: the nested trapezoid rule in an angle
+(:func:`_nested_trapezoid`), on z = exp(2 pi i x) for the circle and on
+u = L tan theta for the real line.  The three engines share a result type
+carrying the value, a conservative error estimate, evaluation counts, and
+an explicit tail estimate.  Only the sum extrapolates; both quadratures
+cover their whole contour and report a tail estimate of 0.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ _MAX_RINGS = 512
 _SUM_WINDOW_START = 8
 # Radii at which _tune_scale looks for the integrand's loss of mass.
 _SCALE_PROBES = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
-# Roots of unity on the first level of integrate_unit_circle.
-_CIRCLE_NODES = 64
+# Nodes on the first level of both quadratures; each refinement doubles them.
+_FIRST_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -105,27 +105,31 @@ def _tune_scale(f) -> float:
     return _SCALE_PROBES[-1]
 
 
-def _refine(level, n0: int, policy: TruncationPolicy) -> QuadratureResult:
-    """Evaluate ``level(n)``, a quadrature rule on n nodes, at n = n0, 2 n0,
-    4 n0, ... until two successive levels agree to
-    max(abs_tol, rel_tol * |value|) or ``policy.max_refinements`` doublings
-    are spent.  ``level(n)`` returns the rule's value and the number of
-    integrand evaluations it made.  The error estimate is the last
-    difference between levels.  A level that is not finite raises
-    ConvergenceError."""
+def _nested_trapezoid(g, offset: float,
+                      policy: TruncationPolicy) -> QuadratureResult:
+    """Mean of the 1-periodic ``g`` by the trapezoid rule on the nodes
+    offset + k/n, n = 64, 128, 256, ...
 
-    def finite_level(n: int) -> tuple[complex, int]:
-        value, spent = level(n)
+    Level 0 evaluates all 64 nodes; each doubling to 2n evaluates only the
+    n new odd nodes offset + (2k + 1)/2n and adds their sum to the running
+    total, until two successive means agree to
+    max(abs_tol, rel_tol * |value|) or ``policy.max_refinements`` doublings
+    are spent.  So ``evaluations`` is the final node count
+    64 * 2**refinements_used.  The error estimate is the last difference
+    between levels.  A level that is not finite raises ConvergenceError.
+
+    Call contract: on its j-th call (j = 0, 1, ...) ``g`` receives level j's
+    new nodes, in that order, as one array.
+    """
+    # level 0 has no predecessor; its difference from nan never converges
+    total, prev = 0j, math.nan
+    for refinements in range(policy.max_refinements + 1):
+        n = _FIRST_NODES << refinements
+        k = np.arange(1, n, 2) if refinements else np.arange(n)
+        total += complex(np.sum(g(offset + k / n)))
+        value = total / n
         if not np.isfinite(value):
             raise ConvergenceError(f"quadrature level on {n} nodes is {value}")
-        return value, spent
-
-    n = n0
-    prev, evaluations = finite_level(n)
-    for refinements in range(1, policy.max_refinements + 1):
-        n *= 2
-        value, spent = finite_level(n)
-        evaluations += spent
         err = abs(value - prev)
         prev = value
         converged = err < max(policy.quadrature_abs_tol,
@@ -135,7 +139,7 @@ def _refine(level, n0: int, policy: TruncationPolicy) -> QuadratureResult:
     return QuadratureResult(
         value=value,
         abs_error_estimate=float(err),
-        evaluations=evaluations,
+        evaluations=n,
         refinements_used=refinements,
         tail_estimate=0.0,
         converged=converged,
@@ -146,58 +150,45 @@ def integrate_real_line(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
                         u_max: float = math.inf) -> QuadratureResult:
     """Integral of `integrand` over |u| < u_max, by default the whole line.
 
-    The change of variable u = L tan(theta) maps it to theta in
-    (-atan(u_max / L), atan(u_max / L)), where the midpoint rule is refined
-    by doubling until two levels agree to max(abs_tol, rel_tol * |value|).
-    On the whole line, decay like an even power |u|^{-2k} gives a smooth
-    pi-periodic function of theta, on which the midpoint rule is the
-    exponentially convergent trapezoid rule (Trefethen and Weideman, SIAM
-    Rev. 2014); so no tail model is needed and ``tail_estimate`` is 0.
-    Odd powers such as (1 + u^2)^{-3/2} leave a kink at theta = +-pi/2 and
-    converge only algebraically (131k evaluations, error 2.4e-11).  A finite
-    ``u_max`` keeps the nodes on an integrand's support.
+    u = L tan(theta) maps it to theta in (-theta_max, theta_max),
+    theta_max = atan(u_max / L), which :func:`_nested_trapezoid` covers as
+    theta = theta_max (2x - 1), x in [0, 1).  Its nodes sit a third of the
+    first step off the dyadic grid, so no level reaches theta = +-theta_max,
+    which is u = +-inf on the whole line.  There, decay like an even power
+    |u|^{-2k} gives a smooth pi-periodic function of theta, on which the
+    trapezoid rule converges exponentially (Trefethen and Weideman); so no
+    tail model is needed and ``tail_estimate`` is 0.  Odd powers such as
+    (1 + u^2)^{-3/2} leave a kink at theta = +-pi/2 and converge only
+    algebraically (65,536 evaluations, error 3.2e-11).  A finite ``u_max``
+    keeps the nodes on an integrand's support.  On its j-th call the engine
+    passes ``integrand`` the images u of level j's new nodes as one array.
     """
     L = _tune_scale(integrand)
     theta_max = math.atan(u_max / L)
 
-    def level(num_points: int) -> complex:
-        h = 2 * theta_max / num_points
-        theta = -theta_max + (np.arange(num_points) + 0.5) * h
-        u = L * np.tan(theta)
-        w = L / np.cos(theta) ** 2 * h
-        return (complex(np.sum(np.asarray(integrand(u), dtype=complex) * w)),
-                num_points)
+    def g(x):
+        theta = theta_max * (2 * (x % 1.0) - 1)
+        return (integrand(L * np.tan(theta))
+                * (2 * theta_max * L / np.cos(theta) ** 2))
 
-    return _refine(level, 64, policy)
+    return _nested_trapezoid(g, 1 / (3 * _FIRST_NODES), policy)
 
 
 def integrate_unit_circle(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
                           ) -> QuadratureResult:
-    """Contour average (1/2 pi i) oint f(z) dz / z = mean of f at the
-    n-th roots of unity.
-
-    The trapezoid rule in angle is spectrally accurate for integrands
-    analytic in an annulus around |z| = 1 (Trefethen and Weideman, SIAM
-    Rev. 2014).  The levels n = 64, 128, 256, ... nest: level 0 evaluates
-    all 64 roots, and each doubling to 2n evaluates only the n new odd
-    roots exp(2 pi i (2k + 1) / 2n) and adds their sum to the running
-    total, until successive means agree to tolerance.  So ``evaluations``
-    is the final node count, 64 * 2**refinements_used.
+    """Contour average (1/2 pi i) oint f(z) dz / z: the mean of f at the
+    n-th roots of unity, n = 64, 128, ..., by :func:`_nested_trapezoid` on
+    z = exp(2 pi i x).  The trapezoid rule in angle is spectrally accurate
+    for integrands analytic in an annulus around |z| = 1 (Trefethen and
+    Weideman, SIAM Rev. 2014).
 
     Call contract: on its j-th call (j = 0, 1, ...) the engine passes
-    ``integrand`` level j's new nodes, in that order, as one array; a caller
-    may build its values from its own values at level j.
+    ``integrand`` level j's new nodes, the 64 roots of unity and then the n
+    new odd roots exp(2 pi i (2k + 1) / 2n), in that order, as one array; a
+    caller may build its values from its own values at level j.
     """
-    total = 0j
-
-    def level(n: int) -> tuple[complex, int]:
-        nonlocal total
-        k = np.arange(n) if n == _CIRCLE_NODES else np.arange(1, n, 2)
-        z = np.exp(2j * np.pi * k / n)
-        total += complex(np.sum(np.asarray(integrand(z), dtype=complex)))
-        return total / n, k.size
-
-    return _refine(level, _CIRCLE_NODES, policy)
+    return _nested_trapezoid(lambda x: integrand(np.exp(2j * np.pi * x)),
+                             0.0, policy)
 
 
 @dataclass(frozen=True)

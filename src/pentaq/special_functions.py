@@ -230,8 +230,10 @@ def log_hyperbolic_gamma(u, omega: ModularPair):
                        / (exp(2*pi*i*u/omega2);    q)_inf
 
     Array-capable in u.  Raises ConvergenceError when either nome modulus
-    exceeds 1 - EPS_MODULAR (near-degenerate pair), and PoleError when the
-    denominator Pochhammer factor vanishes within tolerance.
+    exceeds 1 - EPS_MODULAR (near-degenerate pair) or when the numerator
+    argument exp(2*pi*i*u/omega1) * q~ leaves double range (a tiny dual
+    nome against a large exponential), and PoleError when the denominator
+    Pochhammer factor vanishes within tolerance.
     """
     qv = omega.q
     qd = omega.q_dual
@@ -242,7 +244,13 @@ def log_hyperbolic_gamma(u, omega: ModularPair):
         )
     u = np.asarray(u, dtype=complex)
     b22 = bernoulli_b22(u, omega)
-    log_num = log_qpoch_inf(np.exp(2j * np.pi * u / omega.omega1) * qd, qd)
+    with np.errstate(over="ignore", invalid="ignore"):
+        num_arg = np.exp(2j * np.pi * u / omega.omega1) * qd
+    if not np.all(np.isfinite(num_arg)):
+        raise ConvergenceError(
+            f"dual nome |q~| = {abs(qd):.3g}: exp(2 pi i u / omega1) q~ "
+            "is not finite in double precision")
+    log_num = log_qpoch_inf(num_arg, qd)
     log_den = log_qpoch_inf(np.exp(2j * np.pi * u / omega.omega2), qv)
     if not np.all(np.isfinite(log_den)):
         raise PoleError("hyperbolic gamma pole: denominator factor vanished")

@@ -88,7 +88,7 @@ class TestVerify:
 
     def test_raising_point_gives_error_record(self, runner, tmp_path, rng):
         # the dual nome of the first pair underflows and its integrand raises
-        # PoleError; the run must still verify the second, good point
+        # ConvergenceError; the run must still verify the second, good point
         pts = [sample_hyperbolic(rng, ModularPair(0.0005 + 0.0005j, 1.0)),
                sample_hyperbolic(rng, ModularPair(0.4 + 0.9j, 1.0))]
         f = tmp_path / "pts.jsonl"
@@ -100,7 +100,7 @@ class TestVerify:
         assert header["points"] == 2
         assert set(bad) == {"kind", "index", "error"}
         assert bad["index"] == 0
-        assert bad["error"].startswith("PoleError: ")
+        assert bad["error"].startswith("ConvergenceError: ")
         assert good["index"] == 1 and good["passed"]
         assert summary["passed"] == 1 and summary["failed"] == 1
 

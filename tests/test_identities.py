@@ -43,7 +43,7 @@ from pentaq.integrators import (
     TruncationPolicy,
     integrate_real_line,
 )
-from pentaq.special_functions import ModularPair
+from pentaq.special_functions import ConvergenceError, ModularPair
 
 
 INDEX_POINT = IndexParams.balanced(0.12, 0.21, 0.17, 0.08,
@@ -93,6 +93,14 @@ class TestHyperbolic:
         tight = verify_pentagon_hyperbolic(p, policy=DEFAULT_POLICY.doubled())
         assert abs(tight.lhs - base.lhs) <= 10 * max(
             base.rel_residual * abs(base.rhs), 1e-13)
+
+    @pytest.mark.parametrize("w", [0.02 + 0.02j, 0.0005 + 0.0005j])
+    def test_tiny_dual_nome_is_refused(self, w):
+        # exp(2 pi i u / omega1) overflows on the contour; times q~ it is
+        # inf (q~ ~ 6e-69) or inf * 0 = nan (q~ underflows to 0)
+        p = sample_hyperbolic(np.random.default_rng(0), ModularPair(w, 1.0))
+        with pytest.raises(ConvergenceError, match="dual nome"):
+            verify_pentagon_hyperbolic(p)
 
 
 class TestIndex:

@@ -70,10 +70,35 @@ class TestRealLine:
     ], ids=["lorentzian", "shifted", "squared"])
     def test_algebraic_decay_needs_no_tail(self, f, expected):
         # even-power decay is smooth and periodic in theta on the whole
-        # line, so the midpoint rule converges exponentially with no tail
+        # line, so the trapezoid rule converges exponentially with no tail
         res = integrate_real_line(f)
         assert res.value == pytest.approx(expected, rel=1e-13)
         assert res.tail_estimate == 0
+
+    @pytest.mark.parametrize("u_max", [8.0, math.inf])
+    def test_levels_nest(self, u_max):
+        # each doubling evaluates only the new odd nodes, none at |u| = u_max
+        seen = []
+
+        def f(u):
+            seen.append(u)
+            return np.exp(-(u**2))
+
+        res = integrate_real_line(f, u_max=u_max)
+        r = res.refinements_used
+        assert res.evaluations == 64 * 2**r
+        # _tune_scale's probes (at most two points each) come first; then
+        # call j passes level j's new nodes: 64, 64, 128, 256, ...
+        probes, levels = seen[:-r - 1], seen[-r - 1:]
+        assert all(p.size <= 2 for p in probes)
+        assert [lv.size for lv in levels] == [64] + [32 * 2**j
+                                                     for j in range(1, r + 1)]
+        nodes = np.concatenate(levels)
+        assert nodes.size == res.evaluations
+        assert np.all(np.isfinite(nodes)) and np.all(np.abs(nodes) < u_max)
+        assert np.unique(nodes).size == nodes.size
+        assert res.value == pytest.approx(math.sqrt(math.pi), rel=0,
+                                          abs=1e-13)
 
     def test_tighter_policy_does_not_hurt(self):
         loose = integrate_real_line(lambda u: 1 / (1 + u**2))
