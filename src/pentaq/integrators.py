@@ -3,7 +3,7 @@ sums over all integers whose tail follows a model the caller names.
 
 Both quadratures are one rule: the nested trapezoid rule in an angle
 (:func:`_nested_trapezoid`), on z = exp(2 pi i x) for the circle and on
-u = L tan theta for the real line.  The three engines share a result type
+u = tan theta for the real line.  The three engines share a result type
 carrying the value, a conservative error estimate, evaluation counts, and
 an explicit tail estimate.  Only the sum extrapolates; both quadratures
 cover their whole contour and report a tail estimate of 0.
@@ -33,8 +33,6 @@ __all__ = [
 _MAX_RINGS = 512
 # First ring after which the tail model corrects the running sum.
 _SUM_WINDOW_START = 8
-# Radii at which _tune_scale looks for the integrand's loss of mass.
-_SCALE_PROBES = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 # Nodes on the first level of both quadratures; each refinement doubles them.
 _FIRST_NODES = 64
 
@@ -92,19 +90,6 @@ class QuadratureResult:
         return rec
 
 
-def _tune_scale(f) -> float:
-    """Pick the tan-map scale L near where the integrand has lost most of
-    its mass, so nodes concentrate on the support."""
-    center = abs(complex(np.asarray(f(np.array([0.0])), dtype=complex)[0]))
-    if center == 0 or not math.isfinite(center):
-        return 4.0
-    for u in _SCALE_PROBES:
-        vals = np.asarray(f(np.array([-u, u])), dtype=complex)
-        if np.max(np.abs(vals)) < 0.1 * center:
-            return max(u, 1.0)
-    return _SCALE_PROBES[-1]
-
-
 def _nested_trapezoid(g, offset: float,
                       policy: TruncationPolicy) -> QuadratureResult:
     """Mean of the 1-periodic ``g`` by the trapezoid rule on the nodes
@@ -150,8 +135,8 @@ def integrate_real_line(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
                         u_max: float = math.inf) -> QuadratureResult:
     """Integral of `integrand` over |u| < u_max, by default the whole line.
 
-    u = L tan(theta) maps it to theta in (-theta_max, theta_max),
-    theta_max = atan(u_max / L), which :func:`_nested_trapezoid` covers as
+    u = tan(theta) maps it to theta in (-theta_max, theta_max),
+    theta_max = atan(u_max), which :func:`_nested_trapezoid` covers as
     theta = theta_max (2x - 1), x in [0, 1).  Its nodes sit a third of the
     first step off the dyadic grid, so no level reaches theta = +-theta_max,
     which is u = +-inf on the whole line.  There, decay like an even power
@@ -160,16 +145,17 @@ def integrate_real_line(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
     tail model is needed and ``tail_estimate`` is 0.  Odd powers such as
     (1 + u^2)^{-3/2} leave a kink at theta = +-pi/2 and converge only
     algebraically (65,536 evaluations, error 3.2e-11).  A finite ``u_max``
-    keeps the nodes on an integrand's support.  On its j-th call the engine
-    passes ``integrand`` the images u of level j's new nodes as one array.
+    keeps the nodes on an integrand's support.  The map has scale 1: a
+    caller whose integrand lives on another scale L integrates
+    L f(L u) instead.  The nodes depend on ``u_max`` alone, and the
+    integrand is evaluated at them only: on its j-th call the engine passes
+    ``integrand`` the images u of level j's new nodes as one array.
     """
-    L = _tune_scale(integrand)
-    theta_max = math.atan(u_max / L)
+    theta_max = math.atan(u_max)
 
     def g(x):
         theta = theta_max * (2 * (x % 1.0) - 1)
-        return (integrand(L * np.tan(theta))
-                * (2 * theta_max * L / np.cos(theta) ** 2))
+        return integrand(np.tan(theta)) * (2 * theta_max / np.cos(theta) ** 2)
 
     return _nested_trapezoid(g, 1 / (3 * _FIRST_NODES), policy)
 

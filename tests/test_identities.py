@@ -1,6 +1,7 @@
 """Identity evaluators: resolved conventions pass, printed ones show deficits."""
 
 from dataclasses import replace
+from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -11,8 +12,11 @@ from pentaq.identities import (
     IdentityId,
     _beta_integrand,
     _gamma_term_integrand,
+    _GAMMA_SCALE,
+    _gamma_step,
+    _index_step,
     _index_term_integrand,
-    _IndexGrid,
+    _TermGrid,
     equivalence_check_gamma_rhs,
     eval_beta_lhs,
     eval_beta_rhs,
@@ -43,7 +47,7 @@ from pentaq.integrators import (
     TruncationPolicy,
     integrate_real_line,
 )
-from pentaq.special_functions import ConvergenceError, ModularPair
+from pentaq.special_functions import ConvergenceError, ModularPair, log_gamma
 
 
 INDEX_POINT = IndexParams.balanced(0.12, 0.21, 0.17, 0.08,
@@ -60,6 +64,27 @@ def _circle_levels(count: int) -> list:
         n = 64 * 2**j
         levels.append(np.exp(2j * np.pi * np.arange(1, n, 2) / n))
     return levels
+
+
+def _line_levels(count: int) -> list:
+    """The new nodes of integrate_real_line's first ``count`` levels on the
+    whole line, scaled to eval_gamma_lhs's u = _GAMMA_SCALE * tan(theta)."""
+    levels = []
+    for j in range(count):
+        n = 64 * 2**j
+        x = 1 / 192 + (np.arange(1, n, 2) if j else np.arange(n)) / n
+        levels.append(_GAMMA_SCALE * np.tan(np.pi * (x - 0.5)))
+    return levels
+
+
+def _index_grid(p, signed):
+    return _TermGrid(partial(_index_term_integrand, p, signed=signed),
+                     partial(_index_step, p))
+
+
+def _gamma_grid(p, signed):
+    return _TermGrid(partial(_gamma_term_integrand, p, signed=signed),
+                     partial(_gamma_step, p))
 
 
 class TestOperatorAndClassical:
@@ -152,7 +177,7 @@ class TestIndex:
         z = np.concatenate(levels)
         for _ in range(25):
             p = sample_index(rng)
-            grid = _IndexGrid(p, signed)
+            grid = _index_grid(p, signed)
             for m in range(-25, 26):
                 f = grid.integrand(m)
                 got = np.concatenate([f(nodes) for nodes in levels])
@@ -165,7 +190,7 @@ class TestIndex:
         p = IndexParams((0.1, 0.2, 0.2), (0.15, 0.15, 0.2), (1, 0, -1),
                         (0, 1, -1), 0.85)
         z = _circle_levels(1)[0]
-        grid = _IndexGrid(p, True)
+        grid = _index_grid(p, True)
         for m in (200, -200):
             assert np.all(np.isfinite(grid.integrand(m)(z))), m
 
@@ -205,6 +230,57 @@ class TestGamma:
         for M in (31, 32):
             assert ring(M, False) == pytest.approx((-1) ** M * ring(M, True),
                                                    rel=1e-12)
+
+    @pytest.mark.parametrize("signed", [True, False],
+                             ids=["resolved", "printed"])
+    def test_grid_terms_match_direct_evaluation(self, signed):
+        # terms |m| > 1 come from the m -+ 2 recurrence Gamma(z+1) = z
+        # Gamma(z); over 12 steps its drift stays at rounding level
+        # (criterion 5's points, 256 nodes)
+        rng = np.random.default_rng(5)
+        levels = _line_levels(3)
+        u = np.concatenate(levels)
+        for _ in range(25):
+            p = sample_gamma(rng)
+            grid = _gamma_grid(p, signed)
+            for m in range(-25, 26):
+                f = grid.integrand(m)
+                got = np.concatenate([f(nodes) for nodes in levels])
+                want = _gamma_term_integrand(p, m, signed)(u)
+                assert np.max(np.abs(got - want)) <= \
+                    1e-12 * np.max(np.abs(want)), (p, m)
+
+    def test_log_gamma_only_in_direct_terms(self, monkeypatch):
+        # only the terms |m| <= 1 call log_gamma, four (3, n) arrays per
+        # level, so 12 values per node; each of their levels is evaluated
+        # once, whichever term needs it first
+        import pentaq.identities as identities
+
+        direct_levels, calls = {}, []
+
+        def counting_term(p, m_sum, signed):
+            g = _gamma_term_integrand(p, m_sum, signed)
+
+            def f(u):
+                direct_levels.setdefault(m_sum, []).append(u.size)
+                return g(u)
+
+            return f
+
+        def counting_log_gamma(z):
+            calls.append(np.size(z))
+            return log_gamma(z)
+
+        monkeypatch.setattr(identities, "_gamma_term_integrand",
+                            counting_term)
+        monkeypatch.setattr(identities, "log_gamma", counting_log_gamma)
+        eval_gamma_lhs(GAMMA_POINT)
+        assert set(direct_levels) == {-1, 0, 1}
+        for sizes in direct_levels.values():
+            assert sizes == [64] + [32 * 2**j for j in range(1, len(sizes))]
+        nodes = sum(map(sum, direct_levels.values()))
+        assert len(calls) == 4 * sum(map(len, direct_levels.values()))
+        assert sum(calls) == 12 * nodes
 
     def test_criterion_points_converge_cheaply(self):
         rng = np.random.default_rng(5)

@@ -87,13 +87,11 @@ class TestRealLine:
         res = integrate_real_line(f, u_max=u_max)
         r = res.refinements_used
         assert res.evaluations == 64 * 2**r
-        # _tune_scale's probes (at most two points each) come first; then
-        # call j passes level j's new nodes: 64, 64, 128, 256, ...
-        probes, levels = seen[:-r - 1], seen[-r - 1:]
-        assert all(p.size <= 2 for p in probes)
-        assert [lv.size for lv in levels] == [64] + [32 * 2**j
-                                                     for j in range(1, r + 1)]
-        nodes = np.concatenate(levels)
+        # call j passes level j's new nodes, 64, 64, 128, 256, ..., and the
+        # integrand sees no other value
+        assert [lv.size for lv in seen] == [64] + [32 * 2**j
+                                                   for j in range(1, r + 1)]
+        nodes = np.concatenate(seen)
         assert nodes.size == res.evaluations
         assert np.all(np.isfinite(nodes)) and np.all(np.abs(nodes) < u_max)
         assert np.unique(nodes).size == nodes.size
