@@ -337,17 +337,18 @@ def _hyperbolic_integrand(p: HyperbolicParams):
     """Vectorized integrand of the hyperbolic identity along u = i t."""
     om = p.omega
     measure = 1.0 / np.sqrt(om.omega1 * om.omega2)
-    center = sum(log_hyperbolic_gamma(p.a[i] + p.b[i], om)
-                 for i in range(3))
+    a = np.asarray(p.a, dtype=complex)
+    b = np.asarray(p.b, dtype=complex)
+    center = sum(log_hyperbolic_gamma(a + b, om))
+    # the six kernels a_0 + u, b_0 - u, a_1 + u, ... as rows of one call
+    shift = np.stack([a, b], axis=1).reshape(6, 1)
+    sign = np.tile([1.0, -1.0], 3).reshape(6, 1)
 
     def f(t):
         t = np.asarray(t, dtype=float)
-        u = 1j * t
-        s = -center * np.ones(t.shape, dtype=complex)
-        for i in range(3):
-            s = s + log_hyperbolic_gamma(p.a[i] + u, om)
-            s = s + log_hyperbolic_gamma(p.b[i] - u, om)
-        return np.exp(s) * measure
+        rows = log_hyperbolic_gamma(shift + sign * (1j * t.reshape(1, -1)),
+                                    om).reshape((6,) + t.shape)
+        return np.exp(sum(rows, -center)) * measure
 
     return f
 

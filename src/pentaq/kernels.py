@@ -48,10 +48,8 @@ _INDEX_Q_RANGE = (0.2, 0.5)
 
 def b_hyp(x, y, omega: ModularPair) -> complex:
     """Hyperbolic kernel gamma2(x) gamma2(y) / gamma2(x + y), in log-space."""
-    log_val = (log_hyperbolic_gamma(x, omega)
-               + log_hyperbolic_gamma(y, omega)
-               - log_hyperbolic_gamma(x + y, omega))
-    return complex(np.exp(log_val))
+    lx, ly, lxy = log_hyperbolic_gamma(np.array([x, y, x + y]), omega)
+    return complex(np.exp(lx + ly - lxy))
 
 
 def b_idx(a, n: int, b, m: int, q) -> complex:

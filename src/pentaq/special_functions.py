@@ -12,6 +12,7 @@ no global state, safe to call from multiple threads.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -42,6 +43,11 @@ EPS_MODULAR = 1e-3
 # most _MAX_FACTORS of them: below 1.1e-16 a factor 1 - a q^k rounds to 1.
 _PRODUCT_TAIL_TOL = 1e-16
 _MAX_FACTORS = 200_000
+# log_qpoch_inf multiplies _LOG_BLOCK factors before it takes one log (few
+# enough that no block product over- or underflows), and holds at most
+# _LOG_CHUNK factor columns in memory.
+_LOG_BLOCK = 16
+_LOG_CHUNK = 4096
 
 
 class PoleError(ValueError):
@@ -121,24 +127,34 @@ def gamma(z):
 # q-Pochhammer
 # ---------------------------------------------------------------------------
 
+def _check_nome(q) -> complex:
+    qv = complex(q)
+    if abs(qv) >= 1:
+        raise ValueError(f"(a;q)_inf requires |q| < 1, got |q| = {abs(qv)}")
+    return qv
+
+
+def _factor_count(target: float, q_abs: float) -> int:
+    """The number of factors K so that |q|^K < target (target <= 1),
+    at least 1 and at most _MAX_FACTORS."""
+    if target >= 1.0:
+        return 1
+    k = int(math.ceil(math.log(target) / math.log(q_abs))) + 1
+    return min(max(k, 1), _MAX_FACTORS)
+
+
 def _qpoch_plan(a, q) -> tuple:
     """(q, a, K) for (a; q)_inf: q as a complex with |q| < 1, `a` as a
     complex array, and the number of factors K so that
     |a q^K| < _PRODUCT_TAIL_TOL, capped at _MAX_FACTORS (one factor, 1 - a,
     when a or q vanishes)."""
-    qv = complex(q)
-    if abs(qv) >= 1:
-        raise ValueError(f"(a;q)_inf requires |q| < 1, got |q| = {abs(qv)}")
+    qv = _check_nome(q)
     arr = np.asarray(a, dtype=complex)
     a_max = float(np.max(np.abs(arr))) if arr.size else 0.0
     if a_max == 0 or qv == 0:
         return qv, arr, 1
     target = _PRODUCT_TAIL_TOL / max(a_max, _PRODUCT_TAIL_TOL)
-    if target >= 1.0:
-        k = 1
-    else:
-        k = int(math.ceil(math.log(target) / math.log(abs(qv)))) + 1
-    return qv, arr, min(max(k, 1), _MAX_FACTORS)
+    return qv, arr, _factor_count(target, abs(qv))
 
 
 def qpoch_inf(a, q):
@@ -159,23 +175,81 @@ def qpoch_inf(a, q):
 
 
 def log_qpoch_inf(a, q):
-    """log (a; q)_inf as a sum of principal logs (array-capable in `a`).
+    """log (a; q)_inf modulo 2 pi i (array-capable in `a`): not a sum of
+    principal logs, so callers exponentiate.
 
-    The factor logs are accumulated in blocks so that q -> 1 evaluations
-    (tens of thousands of factors) stay within memory.
+    No factor 1 - x with |x| > 1 is formed.  Per element, let j be the
+    number of factors with |a q^k| >= 1 and c = a q^j.  Each of those j
+    factors is split as 1 - x = -x (1 - 1/x), and 1/(a q^k) = q^{j-k}/c
+    runs through q/c, ..., q^j/c as k runs down from j - 1 to 0, so
+
+        (a; q)_inf = (-a)^j q^{j(j-1)/2} (q/c; q)_j (c; q)_inf,
+
+    with |c| < 1 and |q/c| <= 1 (summed over k, the split is the
+    quasi-periodicity of (a; q)_inf; Faddeev and Kashaev, Quantum
+    dilogarithm, 1994).  The monomial is closed form in log space,
+    j (log a + i pi) + j (j-1)/2 log q.  Both products then fall below
+    _PRODUCT_TAIL_TOL after the same K = ceil(log 1e-16 / log|q|) + 1
+    factors, whatever |a| is (8 at |q| = 0.003), and the factors beyond K
+    enter through their first-order tail, as in qpoch_inf.  K depends on q
+    alone, so an element's value does not depend on the array it comes in.
+
+    Factors are multiplied in blocks of _LOG_BLOCK and one log is taken per
+    block; _LOG_CHUNK factor columns at most are held at once.  The
+    monomial's rounding error grows like j^2 |log q| ulp, the same order as
+    a sum of j principal logs.  An exact zero factor (a = q^{-k}) sends the
+    result to -inf, and (a; 0)_inf = 1 - a exactly.
     """
-    qv, arr, K = _qpoch_plan(a, q)
-    out = np.zeros(arr.shape, dtype=complex)
-    block = 4096
-    # a vanishing factor (a = q^{-k}) legitimately sends the log to -inf,
-    # which downstream exponentiation turns into an exact zero
-    with np.errstate(divide="ignore"):
-        for start in range(0, K, block):
-            powers = qv ** np.arange(start, min(start + block, K))
-            out = out + np.sum(np.log(1.0 - arr[..., None] * powers),
-                               axis=-1)
-    out = out - arr * qv**K / (1.0 - qv)
-    return complex(out) if arr.ndim == 0 else out
+    qv = _check_nome(q)
+    arr = np.asarray(a, dtype=complex)
+    if qv == 0:
+        out = np.log(1.0 - arr)
+        return complex(out) if arr.ndim == 0 else out
+    shape = arr.shape
+    arr = arr.reshape(-1)   # scalars take the array path too
+    log_q = cmath.log(qv)
+    K = _factor_count(_PRODUCT_TAIL_TOL, abs(qv))
+    # a = 0 gives log|a| = -inf, j = 0 and q/c = inf, which no term uses; a
+    # zero factor gives log(0) = -inf, which exponentiates to an exact zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_abs = np.log(np.abs(arr))
+        j = np.fmax(log_abs // -log_q.real + 1, 0)
+        q_j = qv**j
+        c = arr * q_j
+        # q/c as 1/(a q^{j-1}), exactly 1 where a q^{j-1} is
+        inv = 1.0 / (arr * qv ** (j - 1))
+        # first-order tails of the two products truncated at K factors
+        out = (-c * qv**K - np.where(j > K, inv * (qv**K - q_j), 0)) / (1 - qv)
+        # the factors 1 - c q^k and 1 - (q/c) q^k (1 where k >= j) of a
+        # chunk of k along a leading axis, multiplied in blocks
+        step = _LOG_CHUNK // 2
+        for start in range(0, K, step):
+            k = np.arange(start, min(start + step, K))
+            q_k = qv**k
+            f = [1.0 - np.multiply.outer(q_k, c),
+                 np.where(np.less.outer(k, j),
+                          1.0 - np.multiply.outer(q_k, inv), 1)]
+            pad = -2 * len(k) % _LOG_BLOCK
+            if pad:
+                f.append(np.ones((pad, arr.size)))
+            f = np.concatenate(f).reshape(_LOG_BLOCK, -1, arr.size)
+            out = out + _fold(np.add, np.log(_fold(np.multiply, f, 1)), 0)
+        # the monomial, zero where j = 0
+        arg = np.angle(arr) + np.pi
+        out = out + (j * (np.fmax(log_abs, 0) + 1j * arg)
+                     + j * (j - 1) / 2 * log_q)
+    return complex(out[0]) if shape == () else out.reshape(shape)
+
+
+def _fold(op, x, unit):
+    """Reduce the leading axis of x with the elementwise ufunc op, by halves
+    (padded with unit).  Every element is rounded the same way whatever the
+    trailing shape, which np.prod and np.sum do not promise."""
+    while len(x) > 1:
+        if len(x) % 2:
+            x = np.concatenate([x, np.full_like(x[:1], unit)])
+        x = op(x[:len(x) // 2], x[len(x) // 2:])
+    return x[0]
 
 
 def qpoch_ratio_regularized(alpha, beta, q):
@@ -229,11 +303,16 @@ def log_hyperbolic_gamma(u, omega: ModularPair):
                        * (exp(2*pi*i*u/omega1) q~; q~)_inf
                        / (exp(2*pi*i*u/omega2);    q)_inf
 
-    Array-capable in u.  Raises ConvergenceError when either nome modulus
-    exceeds 1 - EPS_MODULAR (near-degenerate pair) or when the numerator
-    argument exp(2*pi*i*u/omega1) * q~ leaves double range (a tiny dual
-    nome against a large exponential), and PoleError when the denominator
-    Pochhammer factor vanishes within tolerance.
+    u may be an array of any shape; every element is computed on its own
+    (log_qpoch_inf takes a factor count that depends on the nome only), so
+    one call on a stacked array returns exactly the values of separate
+    calls, and callers batch.  The result is a log modulo 2 pi i; callers
+    exponentiate.  Raises ConvergenceError when either nome modulus exceeds
+    1 - EPS_MODULAR (near-degenerate pair) or when the numerator argument
+    exp(2*pi*i*u/omega1) * q~ or the denominator argument
+    exp(2*pi*i*u/omega2) leaves double range (a tiny dual nome against a
+    large exponential, or |Im(u/omega2)| beyond about 113), and PoleError
+    when a Pochhammer factor of the numerator or denominator vanishes.
     """
     qv = omega.q
     qd = omega.q_dual
@@ -243,21 +322,27 @@ def log_hyperbolic_gamma(u, omega: ModularPair):
             f"|q| = {abs(qv):.6f}, |q~| = {abs(qd):.6f} exceed {1 - EPS_MODULAR}"
         )
     u = np.asarray(u, dtype=complex)
+    shape = u.shape
+    u = u.reshape(-1)   # scalars take the array path too
     b22 = bernoulli_b22(u, omega)
     with np.errstate(over="ignore", invalid="ignore"):
         num_arg = np.exp(2j * np.pi * u / omega.omega1) * qd
+        den_arg = np.exp(2j * np.pi * u / omega.omega2)
     if not np.all(np.isfinite(num_arg)):
         raise ConvergenceError(
             f"dual nome |q~| = {abs(qd):.3g}: exp(2 pi i u / omega1) q~ "
             "is not finite in double precision")
+    if not np.all(np.isfinite(den_arg)):
+        raise ConvergenceError(
+            "exp(2 pi i u / omega2) is not finite in double precision")
     log_num = log_qpoch_inf(num_arg, qd)
-    log_den = log_qpoch_inf(np.exp(2j * np.pi * u / omega.omega2), qv)
+    log_den = log_qpoch_inf(den_arg, qv)
     if not np.all(np.isfinite(log_den)):
         raise PoleError("hyperbolic gamma pole: denominator factor vanished")
     if not np.all(np.isfinite(log_num)):
         raise PoleError("hyperbolic gamma zero: numerator factor vanished")
-    out = -1j * np.pi * np.asarray(b22, dtype=complex) / 2 + log_num - log_den
-    return complex(out) if out.ndim == 0 else out
+    out = -1j * np.pi * b22 / 2 + log_num - log_den
+    return complex(out[0]) if shape == () else out.reshape(shape)
 
 
 def hyperbolic_gamma(u, omega: ModularPair):

@@ -119,6 +119,75 @@ class TestHyperbolic:
         assert abs(tight.lhs - base.lhs) <= 10 * max(
             base.rel_residual * abs(base.rhs), 1e-13)
 
+    def test_one_gamma_call_per_batch(self, monkeypatch):
+        # log_hyperbolic_gamma takes one call per integrand call (the
+        # support probes included), one for the centre and one per b_hyp,
+        # and each reaches log_qpoch_inf through its module binding: the
+        # benchmark's tracing rebinds the names, as done here
+        import pentaq.identities as identities
+        import pentaq.integrators as integrators
+        import pentaq.kernels as kernels
+        import pentaq.special_functions as special_functions
+
+        modules = (special_functions, integrators, kernels, identities)
+        context = ["centre"]
+        gamma_calls, qpoch_calls, integrand_calls = [], [], []
+
+        def rebind(original, wrapper):
+            for mod in modules:
+                for attr, val in list(vars(mod).items()):
+                    if val is original:
+                        monkeypatch.setattr(mod, attr, wrapper)
+
+        def within(label, fn):
+            def wrapped(*args):
+                context.append(label)
+                try:
+                    return fn(*args)
+                finally:
+                    context.pop()
+            return wrapped
+
+        log_qpoch_inf = special_functions.log_qpoch_inf
+        log_hyperbolic_gamma = special_functions.log_hyperbolic_gamma
+        integrand = identities._hyperbolic_integrand
+
+        def counting_qpoch(a, q):
+            qpoch_calls.append(np.size(a))
+            return log_qpoch_inf(a, q)
+
+        def counting_gamma(u, omega):
+            before = len(qpoch_calls)
+            out = log_hyperbolic_gamma(u, omega)
+            gamma_calls.append((context[-1], len(qpoch_calls) - before))
+            return out
+
+        def counting_integrand(p):
+            f = within("integrand", integrand(p))
+
+            def g(t):
+                integrand_calls.append(np.size(t))
+                return f(t)
+            return g
+
+        rebind(log_qpoch_inf, counting_qpoch)
+        rebind(log_hyperbolic_gamma, counting_gamma)
+        rebind(kernels.b_hyp, within("b_hyp", kernels.b_hyp))
+        monkeypatch.setattr(identities, "_hyperbolic_integrand",
+                            counting_integrand)
+        p = sample_hyperbolic(np.random.default_rng(0), CRITERION_3_PAIRS[0])
+        rep = verify_pentagon_hyperbolic(p)
+        labels = [label for label, _ in gamma_calls]
+        assert labels.count("integrand") == len(integrand_calls)
+        assert labels.count("centre") == 1
+        assert labels.count("b_hyp") == 2
+        assert len(labels) == len(integrand_calls) + 3
+        assert [n for _, n in gamma_calls] == [2] * len(gamma_calls)
+        # six values per node, and three for the centre and each b_hyp
+        assert sum(qpoch_calls) == 2 * (6 * sum(integrand_calls) + 9)
+        engine = rep.truncation_diagnostics["integral"]["evaluations"]
+        assert sum(integrand_calls) > engine   # the support probes too
+
     @pytest.mark.parametrize("w", [0.02 + 0.02j, 0.0005 + 0.0005j])
     def test_tiny_dual_nome_is_refused(self, w):
         # exp(2 pi i u / omega1) overflows on the contour; times q~ it is

@@ -1,5 +1,6 @@
 """Scalar special functions against independent oracles and invariants."""
 
+import cmath
 import math
 
 import mpmath as mp
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pentaq.kernels import sample_hyperbolic
 from pentaq.special_functions import (
     ConvergenceError,
     ModularPair,
@@ -25,6 +27,49 @@ from pentaq.special_functions import (
 )
 
 mp.mp.dps = 30
+
+# the quasi-period pairs of acceptance criterion 3
+CRITERION_3_PAIRS = (ModularPair(0.4 + 0.9j, 1.0),
+                     ModularPair(0.3 + 0.7j, 1.1),
+                     ModularPair(0.6 + 1.3j, 0.9))
+
+# nomes with 1e-4 <= |q| <= 0.9: real, negative or complex
+PHASES = st.floats(-math.pi, math.pi)
+NOMES = st.builds(lambda lg, phase: 10**lg * cmath.exp(1j * phase),
+                  st.floats(-4.0, math.log10(0.9)),
+                  st.one_of(st.sampled_from([0.0, math.pi]), PHASES))
+
+
+def assert_log_qpoch_matches_oracle(a, q):
+    """exp(log_qpoch_inf(a, q) - log(oracle)) = 1 up to the rounding of the
+    log-space terms: the closed-form monomial j (log a + i pi)
+    + j (j-1)/2 log q over the j factors with |a q^k| >= 1, and the
+    conditioning sum of |a q^k| / |1 - a q^k| near a zero."""
+    a, q = complex(a), complex(q)
+    x = a * q ** np.arange(2000)
+    x = x[np.abs(x) > 1e-20]
+    if np.any(x == 1):
+        # an exact zero of the product
+        assert log_qpoch_inf(a, q).real == -np.inf
+        return
+    j = int(np.sum(np.abs(x) >= 1))
+    with np.errstate(over="ignore"):
+        # infinite within rounding of a zero
+        conditioning = float(np.sum(np.abs(x) / np.abs(1 - x)))
+    scale = (1 + j * (abs(cmath.log(a)) + math.pi)
+             + j * (j - 1) / 2 * abs(cmath.log(q)) + conditioning)
+    oracle = mp.qp(mp.mpc(a.real, a.imag), mp.mpc(q.real, q.imag))
+    got = mp.mpc(log_qpoch_inf(a, q))
+    deviation = abs(mp.exp(got - mp.log(oracle)) - 1)
+    assert deviation <= 16 * np.finfo(float).eps * scale, (a, q)
+
+
+def hyperbolic_kernel_arguments(omega, n=17):
+    """The six (6, n) arguments a_i + u, b_i - u of the hyperbolic integrand
+    of a sampled point, u = i t for t in [-32, 32]."""
+    p = sample_hyperbolic(np.random.default_rng(1), omega)
+    u = 1j * np.linspace(-32, 32, n)
+    return np.array([x + s * u for x, s in zip(p.a + p.b, [1] * 3 + [-1] * 3)])
 
 
 class TestTypes:
@@ -142,6 +187,53 @@ class TestQPochhammer:
         rhs = (1 - a) * qpoch_inf(a * q, q)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
+    # log_qpoch_inf splits every factor with |a q^k| >= 1; these compare it
+    # with the oracle across that boundary, for |a| far beyond it and near
+    # its zeros
+
+    @given(NOMES, st.floats(-0.1, 0.1), PHASES)
+    @settings(max_examples=40, deadline=None)
+    def test_log_split_near_unit_modulus(self, q, log10_abs, phase):
+        assert_log_qpoch_matches_oracle(10**log10_abs * cmath.exp(1j * phase),
+                                        q)
+
+    @given(NOMES, st.floats(1.0, 12.0), PHASES)
+    @settings(max_examples=40, deadline=None)
+    def test_log_split_large_modulus(self, q, log10_abs, phase):
+        assert_log_qpoch_matches_oracle(10**log10_abs * cmath.exp(1j * phase),
+                                        q)
+
+    @given(NOMES, st.integers(0, 6), st.floats(-12.0, -8.0), PHASES)
+    @settings(max_examples=40, deadline=None)
+    def test_log_split_near_a_zero(self, q, k, log10_dist, phase):
+        # a within a relative 1e-8 of the zero a = q^{-k}
+        if abs(q) ** -k > 1e12:
+            k = 0
+        a = q**-k * (1 + 10**log10_dist * cmath.exp(1j * phase))
+        assert_log_qpoch_matches_oracle(a, q)
+
+    @pytest.mark.parametrize("q", [0.5, -0.25, 0.5j, 0.125])
+    def test_log_exact_zero_is_minus_infinity(self, q):
+        # binary-exact nomes, so a = q^{-k} is an exact zero of the product
+        for k in range(5):
+            a = complex(q) ** -k
+            assert log_qpoch_inf(a, q).real == -np.inf
+            got = log_qpoch_inf(np.array([0.3, a, 40.0]), q)
+            assert np.isneginf(got.real).tolist() == [False, True, False]
+
+    @pytest.mark.parametrize("omega", CRITERION_3_PAIRS)
+    def test_log_batch_equals_rows_and_scalars(self, omega):
+        # the hyperbolic integrand's six kernel arguments over |Im u| <= 32
+        u = hyperbolic_kernel_arguments(omega)
+        for a, q in ((np.exp(2j * np.pi * u / omega.omega2), omega.q),
+                     (np.exp(2j * np.pi * u / omega.omega1) * omega.q_dual,
+                      omega.q_dual)):
+            batch = log_qpoch_inf(a, q)
+            assert np.array_equal(
+                batch, np.array([log_qpoch_inf(row, q) for row in a]))
+            assert np.array_equal(batch, np.array(
+                [[log_qpoch_inf(complex(x), q) for x in row] for row in a]))
+
 
 class TestRegularizedRatio:
     def test_telescoping(self):
@@ -219,6 +311,30 @@ class TestHyperbolicGamma:
         for i in range(5):
             assert got[i] == pytest.approx(
                 hyperbolic_gamma(complex(u[i]), omega), rel=1e-12)
+
+    @pytest.mark.parametrize("omega", CRITERION_3_PAIRS)
+    def test_batch_equals_rows_and_scalars(self, omega):
+        # batching changes no value, which lets the integrand take one call
+        u = hyperbolic_kernel_arguments(omega)
+        batch = log_hyperbolic_gamma(u, omega)
+        assert batch.shape == u.shape
+        assert np.array_equal(
+            batch, np.array([log_hyperbolic_gamma(row, omega) for row in u]))
+        assert np.array_equal(batch, np.array(
+            [[log_hyperbolic_gamma(complex(x), omega) for x in row]
+             for row in u]))
+
+    def test_refuses_denominator_argument_out_of_range(self):
+        # |exp(2 pi i u / omega2)| = e^{754} overflows; not a pole
+        with pytest.raises(ConvergenceError, match="omega2"):
+            log_hyperbolic_gamma(np.array([0.3, 0.3 - 60j]),
+                                 ModularPair(0.4 + 0.9j, 0.5))
+
+    def test_pole_raises_alone_and_in_a_batch(self, omega):
+        # u = 0 makes the denominator's first factor 1 - exp(0) exactly 0
+        for u in (0.0, np.array([0.3, 0.0, 0.2 + 0.1j])):
+            with pytest.raises(PoleError):
+                log_hyperbolic_gamma(u, omega)
 
 
 class TestDilogarithms:
