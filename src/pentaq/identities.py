@@ -409,30 +409,34 @@ def _index_term_integrand(p: IndexParams, m_sum: int, signed: bool):
     by matching numerator zeros whenever the shift is negative, and the
     surviving genuine poles stay strictly off the circle because every stored
     exponent is positive.
-    """
-    q = p.q
-    a = p.a
-    b = p.b
-    weight = (-1.0) ** m_sum if signed else 1.0
 
-    scalar = weight
-    for i in range(3):
-        tot = (p.n[i] + p.m[i]) / 2
-        scalar *= (qpoch_inf(q ** tot * a[i] * b[i], q)
-                   / qpoch_inf(q ** (1 + tot) / (a[i] * b[i]), q))
-        scalar *= a[i] ** ((p.m[i] - m_sum) / 2) * b[i] ** ((p.n[i] + m_sum) / 2)
+    Each level's nodes take one qpoch_inf call on a (12, n) array: rows
+    0-5 are the numerator arguments q^{1+k_i/2} / (a_i z) and
+    q^{1+l_i/2} z / b_i, rows 6-11 the denominator arguments q^{k_i/2} a_i z
+    and q^{l_i/2} b_i / z (k_i = n_i + m, l_i = m_i - m), and the integrand
+    is the scalar prefactor times z^{-3m} prod(num rows) / prod(den rows).
+    The prefactor's six Pochhammer symbols are one more call.
+    """
+    q, a, b = p.q, np.array(p.a), np.array(p.b)
+    n, m = np.array(p.n), np.array(p.m)
+    e_n = (n + m_sum) / 2
+    e_m = (m - m_sum) / 2
+    tot = (n + m) / 2
+    weight = (-1.0) ** m_sum if signed else 1.0
+    pref = qpoch_inf(np.concatenate([q**tot * a * b, q ** (1 + tot) / (a * b)]),
+                     q)
+    scalar = (weight * np.prod(pref[:3]) / np.prod(pref[3:])
+              * np.prod(a**e_m * b**e_n))
+    # the twelve arguments are these coefficients times 1/z or z
+    coef = np.concatenate([q ** (1 + e_n) / a, q ** (1 + e_m) / b,
+                           q**e_n * a, q**e_m * b])[:, None]
+    by_z = np.array([False] * 3 + [True] * 6 + [False] * 3)[:, None]
 
     def f(z):
         z = np.asarray(z, dtype=complex)
-        v = scalar * z ** (-3 * m_sum)
-        for i in range(3):
-            sn = p.n[i] + m_sum
-            sm = p.m[i] - m_sum
-            v = v * (qpoch_inf(q ** (1 + sn / 2) / (a[i] * z), q)
-                     / qpoch_inf(q ** (sn / 2) * a[i] * z, q))
-            v = v * (qpoch_inf(q ** (1 + sm / 2) * z / b[i], q)
-                     / qpoch_inf(q ** (sm / 2) * b[i] / z, q))
-        return v
+        vals = qpoch_inf(coef * np.where(by_z, z, 1 / z), q)
+        return (scalar * z ** (-3 * m_sum) * np.prod(vals[:6], axis=0)
+                / np.prod(vals[6:], axis=0))
 
     return f
 
@@ -471,7 +475,10 @@ def eval_index_lhs(p: IndexParams, policy: TruncationPolicy = DEFAULT_POLICY,
     only to the 1e-12 that IndexParams allows, so the step keeps it.
     Terms m < -1 divide by the step instead.  The Pochhammer products are
     thus computed for three terms only, and at large |m|, where their
-    ratios overflow to inf/inf, the terms stay finite.
+    ratios overflow to inf/inf, the terms stay finite.  Each of the three
+    takes one qpoch_inf call per level, on the (12, n) array of its six
+    numerator and six denominator arguments at the level's n nodes, and one
+    for its scalar prefactor (see _index_term_integrand).
     """
     signed = _check_convention(convention)
     grid = _TermGrid(partial(_index_term_integrand, p, signed=signed),
@@ -497,13 +504,11 @@ def eval_index_rhs(p: IndexParams, form: str = "TWO_B") -> complex:
         pref = 2.0
         for i in range(3):
             pref /= a[i] ** m[i] * b[i] ** n[i]
-        val = complex(pref)
-        for i in range(3):
-            for j in range(3):
-                e = (m[i] + n[j]) / 2
-                val *= (qpoch_inf(q ** (1 + e) / (a[i] * b[j]), q)
-                        / qpoch_inf(q ** e * a[i] * b[j], q))
-        return val
+        # (i, j) runs over the nine ratios; one call on their 18 arguments
+        ab = np.multiply.outer(a, b).ravel()
+        e = np.add.outer(m, n).ravel() / 2
+        vals = qpoch_inf(np.concatenate([q ** (1 + e) / ab, q**e * ab]), q)
+        return complex(pref * np.prod(vals[:9]) / np.prod(vals[9:]))
     raise ValueError(f"unknown form {form!r}")
 
 

@@ -65,16 +65,18 @@ def b_idx(a, n: int, b, m: int, q) -> complex:
     qv = complex(q)
     a = complex(a)
     b = complex(b)
-
-    def ratio(num_arg, den_arg):
-        den = qpoch_inf(den_arg, qv)
-        if abs(den) < 1e-280:
-            raise PoleError(f"vanishing Pochhammer factor at {den_arg}")
-        return qpoch_inf(num_arg, qv) / den
-
-    val = ratio(qv ** (1 + n / 2) / a, qv ** (n / 2) * a)
-    val *= ratio(qv ** (1 + m / 2) / b, qv ** (m / 2) * b)
-    val *= ratio(qv ** ((n + m) / 2) * a * b, qv ** (1 + (n + m) / 2) / (a * b))
+    ab = a * b
+    # numerators then denominators of the three ratios, in one call
+    args = np.array([qv ** (1 + n / 2) / a, qv ** (1 + m / 2) / b,
+                     qv ** ((n + m) / 2) * ab,
+                     qv ** (n / 2) * a, qv ** (m / 2) * b,
+                     qv ** (1 + (n + m) / 2) / ab])
+    vals = qpoch_inf(args, qv)
+    small = np.abs(vals[3:]) < 1e-280
+    if np.any(small):
+        raise PoleError(
+            f"vanishing Pochhammer factor at {args[3:][small][0]}")
+    val = np.prod(vals[:3]) / np.prod(vals[3:])
     return complex(val * a ** (m / 2) * b ** (n / 2))
 
 

@@ -39,8 +39,9 @@ __all__ = [
 # unit circle: the products converge too slowly to retain double precision.
 EPS_MODULAR = 1e-3
 
-# (a; q)_inf keeps its factors while |a q^k| >= _PRODUCT_TAIL_TOL, and at
-# most _MAX_FACTORS of them: below 1.1e-16 a factor 1 - a q^k rounds to 1.
+# (a; q)_inf is truncated where |a q^k| < _PRODUCT_TAIL_TOL (below 1.1e-16
+# a factor 1 - a q^k rounds to 1): log_qpoch_inf keeps the factors above it,
+# qpoch_inf the series terms.  Neither takes more than _MAX_FACTORS factors.
 _PRODUCT_TAIL_TOL = 1e-16
 _MAX_FACTORS = 200_000
 # log_qpoch_inf multiplies _LOG_BLOCK factors before it takes one log (few
@@ -48,6 +49,8 @@ _MAX_FACTORS = 200_000
 # _LOG_CHUNK factor columns in memory.
 _LOG_BLOCK = 16
 _LOG_CHUNK = 4096
+# qpoch_inf holds at most _HEAD_CHUNK head factors (16 bytes each) at once.
+_HEAD_CHUNK = 65536
 
 
 class PoleError(ValueError):
@@ -143,35 +146,82 @@ def _factor_count(target: float, q_abs: float) -> int:
     return min(max(k, 1), _MAX_FACTORS)
 
 
-def _qpoch_plan(a, q) -> tuple:
-    """(q, a, K) for (a; q)_inf: q as a complex with |q| < 1, `a` as a
-    complex array, and the number of factors K so that
-    |a q^K| < _PRODUCT_TAIL_TOL, capped at _MAX_FACTORS (one factor, 1 - a,
-    when a or q vanishes)."""
-    qv = _check_nome(q)
-    arr = np.asarray(a, dtype=complex)
-    a_max = float(np.max(np.abs(arr))) if arr.size else 0.0
-    if a_max == 0 or qv == 0:
-        return qv, arr, 1
-    target = _PRODUCT_TAIL_TOL / max(a_max, _PRODUCT_TAIL_TOL)
-    return qv, arr, _factor_count(target, abs(qv))
-
-
 def qpoch_inf(a, q):
     """The infinite q-Pochhammer symbol (a; q)_inf = prod_{k>=0} (1 - a q^k).
 
-    `a` may be a scalar or a numpy array; `q` must satisfy |q| < 1.  The
-    product is truncated once |a q^k| drops below ``_PRODUCT_TAIL_TOL``
-    (1e-16), after at most ``_MAX_FACTORS`` (200,000) factors, and a
-    first-order multiplicative tail bound exp(-a q^K / (1-q)) is
-    applied, which is sharp for geometrically decaying factors.
+    `a` may be a scalar or a numpy array of any shape; `q` must satisfy
+    |q| < 1.  The product is split after J factors into a direct head and
+    Euler's series for the log of the rest (Gasper and Rahman, Basic
+    Hypergeometric Series, section 1.3):
+
+        (a; q)_inf = (a; q)_J * exp(-sum_{k>=1} y^k / (k (1 - q^k))),
+        y = a q^J.
+
+    With T = -log _PRODUCT_TAIL_TOL (36.8), L = -log|q| and
+    h = ceil(sqrt(T / L)), the head has J = h + max(0, ceil(log|a|_max / L))
+    factors, so that |y| <= |q|^h, and the series keeps N = ceil(T / (h L))
+    terms, so that |y|^N <= |q|^{hN} <= 1e-16.  Head plus series cost about
+    h + T / (h L) operations, least at this h: 6 + 6 at q = 0.35 and
+    61 + 61 at q = 0.99, against about 40 and 3,700 factors of a direct
+    product.  The series is summed by Horner's rule and leaves log space
+    through one exp; the terms it drops add up to at most
+    |y|^{N+1} / ((N+1) (1 - |q|^{N+1}) (1 - |y|)) < 1e-16 |y| / (1 - |y|).
+
+    One head length per call: |a|_max is the largest finite |a| in the
+    call, so that no element needs a mask, and an element's value can
+    differ in its last bits between a batched call and a call of its own.
+    For real q the powers q^k stay real and 1 - q^k is formed without
+    cancellation as q^k -> 1.  A non-finite element gives nan and takes no
+    part in J.  An exact zero factor (a = q^{-k}) gives an exact zero, and
+    (a; 0)_inf = 1 - a exactly.  Raises ConvergenceError when J + N would
+    exceed _MAX_FACTORS (L below about 4e-9, or |a| beyond |q|^{-200,000}).
     """
-    qv, arr, K = _qpoch_plan(a, q)
-    powers = qv ** np.arange(K)
-    out = np.prod(1.0 - arr[..., None] * powers, axis=-1)
-    # first-order tail: sum_{k>=K} log(1 - a q^k) ~ -a q^K / (1 - q)
-    out = out * np.exp(-arr * qv**K / (1.0 - qv))
-    return complex(out) if arr.ndim == 0 else out
+    qv = _check_nome(q)
+    arr = np.asarray(a, dtype=complex)
+    if qv == 0:
+        out = 1.0 - arr
+        return complex(out) if arr.ndim == 0 else out
+    shape = arr.shape
+    arr = arr.reshape(-1)   # scalars take the array path too
+    finite = np.isfinite(arr)
+    if not finite.all():
+        arr = np.where(finite, arr, 0)
+    T = -math.log(_PRODUCT_TAIL_TOL)
+    L = -math.log(abs(qv))
+    h = math.ceil(math.sqrt(T / L))
+    n_terms = math.ceil(T / (h * L))
+    a_max = float(np.abs(arr).max(initial=0.0))
+    J = h + (math.ceil(math.log(a_max) / L) if a_max > 1 else 0)
+    if J + n_terms > _MAX_FACTORS:
+        raise ConvergenceError(
+            f"(a;q)_inf needs {J} factors and {n_terms} series terms at "
+            f"|q| = {abs(qv)}, |a| up to {a_max:.3g}: more than {_MAX_FACTORS}")
+    # the head: factors 1 - a q^k along a leading axis, in chunks of at
+    # most _HEAD_CHUNK values
+    powers = (qv.real if qv.imag == 0 else qv) ** np.arange(J + 1)
+    out = np.ones_like(arr)
+    rows = max(1, _HEAD_CHUNK // max(arr.size, 1))
+    for start in range(0, J, rows):
+        factors = np.multiply.outer(powers[start:min(start + rows, J)], arr)
+        np.subtract(1.0, factors, out=factors)
+        out *= np.multiply.reduce(factors, axis=0)
+    # the series coefficients 1 / (k (1 - q^k)), k = 1..N
+    k = np.arange(1, n_terms + 1)
+    if qv.imag == 0:
+        q_k = qv.real ** k
+        one_minus = np.where(q_k > 0, -np.expm1(-k * L), 1 - q_k)
+    else:
+        one_minus = -np.expm1(k * cmath.log(qv))
+    coef = 1.0 / (k * one_minus)
+    y = arr * powers[J]
+    series = coef[-1] * y
+    for c in coef[-2::-1]:
+        series += c
+        series *= y
+    out *= np.exp(-series)
+    if not finite.all():
+        out[~finite] = complex(np.nan, np.nan)
+    return complex(out[0]) if shape == () else out.reshape(shape)
 
 
 def log_qpoch_inf(a, q):

@@ -236,6 +236,78 @@ class TestIndex:
         assert rep.passed and rep.rel_residual <= 1e-8
         assert diag["abs_error_estimate"] >= rep.abs_residual
 
+    def test_one_qpoch_call_per_batch(self, monkeypatch):
+        # qpoch_inf takes one call on 12 rows per direct-term integrand
+        # level, one per direct term's prefactor, one for the nine-factor
+        # RHS and one per b_idx, each through its module binding: the
+        # benchmark's tracing rebinds the names, as done here
+        import pentaq.identities as identities
+        import pentaq.integrators as integrators
+        import pentaq.kernels as kernels
+        import pentaq.special_functions as special_functions
+
+        modules = (special_functions, integrators, kernels, identities)
+        context = ["other"]
+        qpoch_calls, levels, kernel_calls = [], [], []
+
+        def rebind(original, wrapper):
+            for mod in modules:
+                for attr, val in list(vars(mod).items()):
+                    if val is original:
+                        monkeypatch.setattr(mod, attr, wrapper)
+
+        def within(label, fn):
+            def wrapped(*args, **kwargs):
+                context.append(label)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    context.pop()
+            return wrapped
+
+        qpoch_inf = special_functions.qpoch_inf
+        b_idx = kernels.b_idx
+        term_integrand = identities._index_term_integrand
+        eval_index_rhs = identities.eval_index_rhs
+
+        def counting_qpoch(a, q):
+            qpoch_calls.append((context[-1], np.shape(a)))
+            return qpoch_inf(a, q)
+
+        def counting_term_integrand(*args, **kwargs):
+            f = within("prefactor", term_integrand)(*args, **kwargs)
+            f = within("integrand", f)
+
+            def g(z):
+                levels.append(np.shape(z))
+                return f(z)
+            return g
+
+        def counting_b_idx(*args):
+            kernel_calls.append(args)
+            return within("b_idx", b_idx)(*args)
+
+        def labelled_rhs(p, form="TWO_B"):
+            return within(form, eval_index_rhs)(p, form)
+
+        rebind(qpoch_inf, counting_qpoch)
+        rebind(b_idx, counting_b_idx)
+        monkeypatch.setattr(identities, "_index_term_integrand",
+                            counting_term_integrand)
+        monkeypatch.setattr(identities, "eval_index_rhs", labelled_rhs)
+        verify_pentagon_index(INDEX_POINT)
+        labels = [label for label, _ in qpoch_calls]
+        assert [shape for label, shape in qpoch_calls
+                if label == "integrand"] == [(12,) + n for n in levels]
+        assert [shape for label, shape in qpoch_calls
+                if label == "prefactor"] == [(6,)] * 3   # m = -1, 0, 1
+        assert [shape for label, shape in qpoch_calls
+                if label == "NINE_FACTOR"] == [(18,)]
+        assert len(kernel_calls) == 2
+        assert [shape for label, shape in qpoch_calls
+                if label == "b_idx"] == [(6,)] * 2
+        assert len(labels) == len(levels) + 3 + 1 + 2
+
     @pytest.mark.parametrize("signed", [True, False],
                              ids=["resolved", "printed"])
     def test_grid_terms_match_direct_evaluation(self, signed):

@@ -2,14 +2,15 @@
 
 import cmath
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pentaq.kernels import sample_hyperbolic
+from pentaq.kernels import sample_hyperbolic, sample_index
 from pentaq.special_functions import (
     ConvergenceError,
     ModularPair,
@@ -62,6 +63,55 @@ def assert_log_qpoch_matches_oracle(a, q):
     got = mp.mpc(log_qpoch_inf(a, q))
     deviation = abs(mp.exp(got - mp.log(oracle)) - 1)
     assert deviation <= 16 * np.finfo(float).eps * scale, (a, q)
+
+
+# nomes with 1e-4 <= |q| <= 0.999, as NOMES but up to the unit circle
+NOMES_TO_UNIT = st.builds(
+    lambda abs_q, phase: abs_q * cmath.exp(1j * phase),
+    st.one_of(st.floats(-4.0, math.log10(0.9)).map(lambda lg: 10**lg),
+              st.floats(1.0, 3.0).map(lambda d: 1 - 10**-d)),
+    st.one_of(st.sampled_from([0.0, math.pi]), PHASES))
+
+
+def largest_test_modulus(q) -> float:
+    """10, or less where |q| -> 1: the partial products of (a; q)_inf peak
+    near exp(log(|a|)^2 / (2 |log q|)), kept below exp(300)."""
+    return min(10.0, math.exp(math.sqrt(600 * -math.log(abs(q)))))
+
+
+def assert_qpoch_matches_direct_product(a, q):
+    """qpoch_inf(a, q) against the direct product of the factors 1 - a q^k
+    in 30-digit arithmetic, down to |a q^k| < 1e-20.
+
+    qpoch_inf multiplies a head of J = h + max(0, ceil(log|a| / |log q|))
+    factors, h = ceil(sqrt(T / |log q|)) with T = -log 1e-16, and sums
+    N = ceil(T / (h |log q|)) terms of Euler's series for the rest.  The
+    relative deviation may be 16 ulp times J + N plus the condition of
+    the sum of logs, sum_k |x_k| / |1 - x_k| over x_k = a q^k: an ulp of
+    a or of one factor moves the product by that much.  For complex q the
+    powers q^k carry a phase rounding that grows like k, an ulp of q, and
+    the condition takes sum_k k |x_k| / |1 - x_k| as well; real q stays
+    real."""
+    a, q = complex(a), complex(q)
+    log_q = -math.log(abs(q))
+    h = math.ceil(math.sqrt(-math.log(1e-16) / log_q))
+    n_terms = math.ceil(-math.log(1e-16) / (h * log_q))
+    head = h + max(0, math.ceil(math.log(abs(a)) / log_q))
+    count = math.ceil(math.log(1e-20 / abs(a)) / -log_q) + 1
+    k = np.arange(max(count, 1))
+    x = a * (q.real if q.imag == 0 else q) ** k
+    weight = 1 if q.imag == 0 else 1 + k
+    with np.errstate(divide="ignore"):
+        condition = float(np.sum(weight * np.abs(x) / np.abs(1 - x)))
+    oracle, x_mp, q_mp = mp.mpc(1), mp.mpc(a.real, a.imag), mp.mpc(q.real,
+                                                                   q.imag)
+    for _ in k:
+        oracle *= 1 - x_mp
+        x_mp *= q_mp
+    assume(1e-280 < abs(oracle) < 1e280)
+    deviation = abs(mp.mpc(qpoch_inf(a, q)) / oracle - 1)
+    assert deviation <= 16 * np.finfo(float).eps * (head + n_terms
+                                                     + condition), (a, q)
 
 
 def hyperbolic_kernel_arguments(omega, n=17):
@@ -167,6 +217,11 @@ class TestQPochhammer:
         with pytest.raises(ValueError):
             qpoch_inf(0.5, 1.1)
 
+    @pytest.mark.parametrize("a, q", [(0.5, 1 - 1e-10), (1e300, 0.9999)])
+    def test_refuses_more_than_max_factors(self, a, q):
+        with pytest.raises(ConvergenceError, match="factors"):
+            qpoch_inf(a, q)
+
     def test_log_variant_matches(self, rng):
         for _ in range(20):
             a = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -186,6 +241,74 @@ class TestQPochhammer:
         lhs = qpoch_inf(a, q)
         rhs = (1 - a) * qpoch_inf(a * q, q)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+    # qpoch_inf is a direct head plus Euler's series; these compare it with
+    # the direct product up to |q| = 0.999, across |a| = 1 and near zeros
+
+    @given(NOMES_TO_UNIT, st.floats(-1.0, 1.0), PHASES)
+    @example(-0.99, 0.9, 0.0)   # powers of a real q kept real
+    @example(-0.999, 0.5, 1.0)
+    @settings(max_examples=25, deadline=None)
+    def test_head_series_against_direct_product(self, q, u, phase):
+        a = largest_test_modulus(q) ** u * cmath.exp(1j * phase)
+        assert_qpoch_matches_direct_product(a, q)
+
+    @given(NOMES_TO_UNIT, st.floats(-0.1, 0.1), PHASES)
+    @settings(max_examples=20, deadline=None)
+    def test_head_series_near_unit_modulus(self, q, log10_abs, phase):
+        assert_qpoch_matches_direct_product(
+            10**log10_abs * cmath.exp(1j * phase), q)
+
+    @given(NOMES_TO_UNIT, st.integers(0, 6), st.floats(-12.0, -8.0), PHASES)
+    @settings(max_examples=20, deadline=None)
+    def test_head_series_near_a_zero(self, q, k, log10_dist, phase):
+        # a within a relative 1e-8 of the zero a = q^{-k}
+        if abs(q) ** -k > largest_test_modulus(q):
+            k = 0
+        a = q**-k * (1 + 10**log10_dist * cmath.exp(1j * phase))
+        assert_qpoch_matches_direct_product(a, q)
+
+    @pytest.mark.parametrize("q", [0.5, -0.25, 0.5j, 0.125])
+    def test_exact_zero_factor(self, q):
+        # binary-exact nomes, so a = q^{-k} is an exact zero of the product
+        for k in range(5):
+            a = complex(q) ** -k
+            assert qpoch_inf(a, q) == 0
+            got = qpoch_inf(np.array([0.3, a, 40.0]), q)
+            assert (got == 0).tolist() == [False, True, False]
+
+    def test_non_finite_element_is_nan(self):
+        # as in log_qpoch_inf: nan for that element, and the rest as if it
+        # were not there (its head length comes from the finite elements)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = qpoch_inf(np.array([np.inf, 0.5, complex(np.nan, 1)]), 0.3)
+            logs = log_qpoch_inf(np.array([np.inf, 0.5]), 0.3)
+            assert np.isnan(qpoch_inf(complex(1, -np.inf), 0.3))
+        assert np.isnan(got[[0, 2]]).all() and np.isnan(logs[0])
+        assert got[1] == qpoch_inf(0.5, 0.3)
+
+    def test_batch_equals_rows(self, monkeypatch):
+        # the (12, n) arguments of one index integrand level: one call, one
+        # head length for all rows, equals its per-row calls to rounding
+        import pentaq.identities as identities
+
+        captured = []
+
+        def capture(a, q):
+            captured.append(np.array(a))
+            return qpoch_inf(a, q)
+
+        monkeypatch.setattr(identities, "qpoch_inf", capture)
+        p = sample_index(np.random.default_rng(3))
+        identities._index_term_integrand(p, 1, True)(
+            np.exp(2j * np.pi * np.arange(64) / 64))
+        rows = captured[-1]
+        assert rows.shape == (12, 64)
+        batch = qpoch_inf(rows, p.q)
+        np.testing.assert_allclose(
+            batch, np.array([qpoch_inf(row, p.q) for row in rows]),
+            rtol=64 * np.finfo(float).eps, atol=0)
 
     # log_qpoch_inf splits every factor with |a q^k| >= 1; these compare it
     # with the oracle across that boundary, for |a| far beyond it and near
