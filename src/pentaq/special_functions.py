@@ -40,17 +40,13 @@ __all__ = [
 EPS_MODULAR = 1e-3
 
 # (a; q)_inf is truncated where |a q^k| < _PRODUCT_TAIL_TOL (below 1.1e-16
-# a factor 1 - a q^k rounds to 1): log_qpoch_inf keeps the factors above it,
-# qpoch_inf the series terms.  Neither takes more than _MAX_FACTORS factors.
+# a factor 1 - a q^k rounds to 1), and refused where that takes more than
+# _MAX_FACTORS head factors and series terms.
 _PRODUCT_TAIL_TOL = 1e-16
 _MAX_FACTORS = 200_000
-# log_qpoch_inf multiplies _LOG_BLOCK factors before it takes one log (few
-# enough that no block product over- or underflows), and holds at most
-# _LOG_CHUNK factor columns in memory.
+# head factors are multiplied in blocks of _LOG_BLOCK, few enough that no
+# block product over- or underflows
 _LOG_BLOCK = 16
-_LOG_CHUNK = 4096
-# qpoch_inf holds at most _HEAD_CHUNK head factors (16 bytes each) at once.
-_HEAD_CHUNK = 65536
 
 
 class PoleError(ValueError):
@@ -137,44 +133,93 @@ def _check_nome(q) -> complex:
     return qv
 
 
-def _factor_count(target: float, q_abs: float) -> int:
-    """The number of factors K so that |q|^K < target (target <= 1),
-    at least 1 and at most _MAX_FACTORS."""
-    if target >= 1.0:
-        return 1
-    k = int(math.ceil(math.log(target) / math.log(q_abs))) + 1
-    return min(max(k, 1), _MAX_FACTORS)
+def _head_series(x, q: complex, a_max: float = 1.0):
+    """The head and the series of (x; q)_inf for a flat array x whose finite
+    elements have |x| <= max(a_max, 1):
+
+        (x; q)_inf = prod(blocks) * exp(-S),
+
+    where `blocks` yields the products of the head (x; q)_J, at most
+    _LOG_BLOCK consecutive factors each, and S = sum_{k=1}^{N} y^k /
+    (k (1 - q^k)) on y = x q^J is Euler's series for -log (y; q)_inf
+    (Gasper and Rahman, Basic Hypergeometric Series, section 1.3).
+
+    With T = -log _PRODUCT_TAIL_TOL (36.8), L = -log|q| and
+    h = ceil(sqrt(T / L)), the head has J = h + max(0, ceil(log a_max / L))
+    factors, so that |y| <= |q|^h, and the series keeps N = ceil(T / (h L))
+    terms, so that |y|^N <= |q|^{hN} <= 1e-16.  Head plus series cost about
+    h + T / (h L) operations, least at this h: 3 + 3 at |q| = 0.003,
+    6 + 6 at q = 0.35 and 61 + 61 at q = 0.99, against about 8, 40 and
+    3,700 factors of a direct product.  Since |1 - q^k| >= 1 - |q|^k, the
+    terms the series drops add up to at most
+    |y|^{N+1} / ((N+1) (1 - |q|^{N+1}) (1 - |y|)) < 1e-16 |y| / (1 - |y|).
+    The series is summed by Horner's rule.  For real q the powers q^k stay
+    real and 1 - q^k is formed without cancellation as q^k -> 1; for
+    complex q they come by doubling (see below).  An element's value
+    depends on J and q only, as long as x has two or more elements: numpy
+    reduces the leading axis of a (rows, n) array row by row for n >= 2,
+    but not for n = 1.  Raises ConvergenceError when J + N would exceed
+    _MAX_FACTORS (L below about 4e-9, or a_max beyond |q|^{-200,000}).
+    """
+    T = -math.log(_PRODUCT_TAIL_TOL)
+    L = -math.log(abs(q))
+    h = math.ceil(math.sqrt(T / L))
+    n_terms = math.ceil(T / (h * L))
+    J = h + (math.ceil(math.log(a_max) / L) if a_max > 1 else 0)
+    if J + n_terms > _MAX_FACTORS:
+        raise ConvergenceError(
+            f"(a;q)_inf needs {J} factors and {n_terms} series terms at "
+            f"|q| = {abs(q)}: more than {_MAX_FACTORS}")
+    # q^0 .. q^max(J, N): N can exceed h by one through rounding
+    n = max(J, n_terms) + 1
+    if q.imag == 0:
+        powers = q.real ** np.arange(n)
+    else:
+        # by doubling, q^{m+r} = q^m q^r (r < m): each power is rounded
+        # about 2 log2(k) times, where exp(k log q) carries k times the
+        # rounding of arg q, which 1 - q^k magnifies where q^k is near 1
+        powers = np.ones(n, dtype=complex)
+        m, q_m = 1, q
+        while m < n:
+            powers[m:2 * m] = powers[:min(m, n - m)] * q_m
+            m, q_m = 2 * m, q_m * q_m
+
+    def blocks():   # lazily: one block's factors in memory at a time
+        for start in range(0, J, _LOG_BLOCK):
+            factors = np.multiply.outer(
+                powers[start:min(start + _LOG_BLOCK, J)], x)
+            np.subtract(1.0, factors, out=factors)
+            yield np.multiply.reduce(factors, axis=0)
+
+    # the series coefficients 1 / (k (1 - q^k)), k = 1..N
+    k = np.arange(1, n_terms + 1)
+    q_k = powers[1:n_terms + 1]
+    one_minus = 1 - q_k
+    if q.imag == 0:
+        one_minus = np.where(q_k > 0, -np.expm1(-k * L), one_minus)
+    coef = 1.0 / (k * one_minus)
+    y = x * powers[J]
+    series = coef[-1] * y
+    for c in coef[-2::-1]:
+        series += c
+        series *= y
+    return blocks(), series
 
 
 def qpoch_inf(a, q):
     """The infinite q-Pochhammer symbol (a; q)_inf = prod_{k>=0} (1 - a q^k).
 
     `a` may be a scalar or a numpy array of any shape; `q` must satisfy
-    |q| < 1.  The product is split after J factors into a direct head and
-    Euler's series for the log of the rest (Gasper and Rahman, Basic
-    Hypergeometric Series, section 1.3):
-
-        (a; q)_inf = (a; q)_J * exp(-sum_{k>=1} y^k / (k (1 - q^k))),
-        y = a q^J.
-
-    With T = -log _PRODUCT_TAIL_TOL (36.8), L = -log|q| and
-    h = ceil(sqrt(T / L)), the head has J = h + max(0, ceil(log|a|_max / L))
-    factors, so that |y| <= |q|^h, and the series keeps N = ceil(T / (h L))
-    terms, so that |y|^N <= |q|^{hN} <= 1e-16.  Head plus series cost about
-    h + T / (h L) operations, least at this h: 6 + 6 at q = 0.35 and
-    61 + 61 at q = 0.99, against about 40 and 3,700 factors of a direct
-    product.  The series is summed by Horner's rule and leaves log space
-    through one exp; the terms it drops add up to at most
-    |y|^{N+1} / ((N+1) (1 - |q|^{N+1}) (1 - |y|)) < 1e-16 |y| / (1 - |y|).
-
-    One head length per call: |a|_max is the largest finite |a| in the
-    call, so that no element needs a mask, and an element's value can
-    differ in its last bits between a batched call and a call of its own.
-    For real q the powers q^k stay real and 1 - q^k is formed without
-    cancellation as q^k -> 1.  A non-finite element gives nan and takes no
-    part in J.  An exact zero factor (a = q^{-k}) gives an exact zero, and
-    (a; 0)_inf = 1 - a exactly.  Raises ConvergenceError when J + N would
-    exceed _MAX_FACTORS (L below about 4e-9, or |a| beyond |q|^{-200,000}).
+    |q| < 1.  A direct head of J = h + max(0, ceil(log|a|_max / |log q|))
+    factors, then Euler's series on y = a q^J, which leaves log space
+    through one exp (_head_series derives h, the series length and the
+    remainder bound).  One head length per call: |a|_max is the largest
+    finite |a| in the call, so that no element needs a mask, and an
+    element's value can differ in its last bits between a batched call and
+    a call of its own.  A non-finite element gives nan and takes no part in
+    J.  An exact zero factor (a = q^{-k}) gives an exact zero, and
+    (a; 0)_inf = 1 - a exactly.  Raises ConvergenceError when the head and
+    series would exceed _MAX_FACTORS.
     """
     qv = _check_nome(q)
     arr = np.asarray(a, dtype=complex)
@@ -186,39 +231,8 @@ def qpoch_inf(a, q):
     finite = np.isfinite(arr)
     if not finite.all():
         arr = np.where(finite, arr, 0)
-    T = -math.log(_PRODUCT_TAIL_TOL)
-    L = -math.log(abs(qv))
-    h = math.ceil(math.sqrt(T / L))
-    n_terms = math.ceil(T / (h * L))
-    a_max = float(np.abs(arr).max(initial=0.0))
-    J = h + (math.ceil(math.log(a_max) / L) if a_max > 1 else 0)
-    if J + n_terms > _MAX_FACTORS:
-        raise ConvergenceError(
-            f"(a;q)_inf needs {J} factors and {n_terms} series terms at "
-            f"|q| = {abs(qv)}, |a| up to {a_max:.3g}: more than {_MAX_FACTORS}")
-    # the head: factors 1 - a q^k along a leading axis, in chunks of at
-    # most _HEAD_CHUNK values
-    powers = (qv.real if qv.imag == 0 else qv) ** np.arange(J + 1)
-    out = np.ones_like(arr)
-    rows = max(1, _HEAD_CHUNK // max(arr.size, 1))
-    for start in range(0, J, rows):
-        factors = np.multiply.outer(powers[start:min(start + rows, J)], arr)
-        np.subtract(1.0, factors, out=factors)
-        out *= np.multiply.reduce(factors, axis=0)
-    # the series coefficients 1 / (k (1 - q^k)), k = 1..N
-    k = np.arange(1, n_terms + 1)
-    if qv.imag == 0:
-        q_k = qv.real ** k
-        one_minus = np.where(q_k > 0, -np.expm1(-k * L), 1 - q_k)
-    else:
-        one_minus = -np.expm1(k * cmath.log(qv))
-    coef = 1.0 / (k * one_minus)
-    y = arr * powers[J]
-    series = coef[-1] * y
-    for c in coef[-2::-1]:
-        series += c
-        series *= y
-    out *= np.exp(-series)
+    blocks, series = _head_series(arr, qv, float(np.abs(arr).max(initial=0.0)))
+    out = math.prod(blocks) * np.exp(-series)
     if not finite.all():
         out[~finite] = complex(np.nan, np.nan)
     return complex(out[0]) if shape == () else out.reshape(shape)
@@ -233,22 +247,23 @@ def log_qpoch_inf(a, q):
     factors is split as 1 - x = -x (1 - 1/x), and 1/(a q^k) = q^{j-k}/c
     runs through q/c, ..., q^j/c as k runs down from j - 1 to 0, so
 
-        (a; q)_inf = (-a)^j q^{j(j-1)/2} (q/c; q)_j (c; q)_inf,
+        (a; q)_inf = (-a)^j q^{j(j-1)/2} (c; q)_inf
+                     (q/c; q)_inf / (q^{j+1}/c; q)_inf,
 
-    with |c| < 1 and |q/c| <= 1 (summed over k, the split is the
-    quasi-periodicity of (a; q)_inf; Faddeev and Kashaev, Quantum
-    dilogarithm, 1994).  The monomial is closed form in log space,
-    j (log a + i pi) + j (j-1)/2 log q.  Both products then fall below
-    _PRODUCT_TAIL_TOL after the same K = ceil(log 1e-16 / log|q|) + 1
-    factors, whatever |a| is (8 at |q| = 0.003), and the factors beyond K
-    enter through their first-order tail, as in qpoch_inf.  K depends on q
-    alone, so an element's value does not depend on the array it comes in.
-
-    Factors are multiplied in blocks of _LOG_BLOCK and one log is taken per
-    block; _LOG_CHUNK factor columns at most are held at once.  The
-    monomial's rounding error grows like j^2 |log q| ulp, the same order as
-    a sum of j principal logs.  An exact zero factor (a = q^{-k}) sends the
-    result to -inf, and (a; 0)_inf = 1 - a exactly.
+    with |c| < 1, |q/c| <= 1 and |q^{j+1}/c| <= |q|^j (summed over k, the
+    split is the quasi-periodicity of (a; q)_inf; Faddeev and Kashaev,
+    Quantum dilogarithm, 1994).  Where j = 0 the last two arguments are
+    zero.  The monomial is closed form in log space,
+    j (log a + i pi) + j (j-1)/2 log q, and the three products go through
+    _head_series in one stacked call at its shortest head, whatever |a|
+    is.  Their blocks are combined as b_c b_{q/c} / b_{q^{j+1}/c} before
+    one log per block (finite up to |q| = 0.9999995 for a within 1e-12 of
+    a zero), and their series as +, +, -.  The head length depends on q
+    alone and the stacked call has at least three elements, so an
+    element's value does not depend on the array it comes in.  The
+    monomial's rounding error grows like j^2 |log q| ulp, the same order
+    as a sum of j principal logs.  An exact zero factor (a = q^{-k}) sends
+    the result to -inf, and (a; 0)_inf = 1 - a exactly.
     """
     qv = _check_nome(q)
     arr = np.asarray(a, dtype=complex)
@@ -258,62 +273,40 @@ def log_qpoch_inf(a, q):
     shape = arr.shape
     arr = arr.reshape(-1)   # scalars take the array path too
     log_q = cmath.log(qv)
-    K = _factor_count(_PRODUCT_TAIL_TOL, abs(qv))
     # a = 0 gives log|a| = -inf, j = 0 and q/c = inf, which no term uses; a
     # zero factor gives log(0) = -inf, which exponentiates to an exact zero
     with np.errstate(divide="ignore", invalid="ignore"):
         log_abs = np.log(np.abs(arr))
         j = np.fmax(log_abs // -log_q.real + 1, 0)
         q_j = qv**j
-        c = arr * q_j
         # q/c as 1/(a q^{j-1}), exactly 1 where a q^{j-1} is
-        inv = 1.0 / (arr * qv ** (j - 1))
-        # first-order tails of the two products truncated at K factors
-        out = (-c * qv**K - np.where(j > K, inv * (qv**K - q_j), 0)) / (1 - qv)
-        # the factors 1 - c q^k and 1 - (q/c) q^k (1 where k >= j) of a
-        # chunk of k along a leading axis, multiplied in blocks
-        step = _LOG_CHUNK // 2
-        for start in range(0, K, step):
-            k = np.arange(start, min(start + step, K))
-            q_k = qv**k
-            f = [1.0 - np.multiply.outer(q_k, c),
-                 np.where(np.less.outer(k, j),
-                          1.0 - np.multiply.outer(q_k, inv), 1)]
-            pad = -2 * len(k) % _LOG_BLOCK
-            if pad:
-                f.append(np.ones((pad, arr.size)))
-            f = np.concatenate(f).reshape(_LOG_BLOCK, -1, arr.size)
-            out = out + _fold(np.add, np.log(_fold(np.multiply, f, 1)), 0)
+        inv = np.where(j > 0, 1.0 / (arr * qv ** (j - 1)), 0)
+        blocks, series = _head_series(
+            np.concatenate([arr * q_j, inv, inv * q_j]), qv)
+        # (c; q) (q/c; q) / (q^{j+1}/c; q), block by block
+        out = sum(np.log(b[0] * b[1] / b[2])
+                  for b in (block.reshape(3, -1) for block in blocks))
+        s = series.reshape(3, -1)
         # the monomial, zero where j = 0
         arg = np.angle(arr) + np.pi
-        out = out + (j * (np.fmax(log_abs, 0) + 1j * arg)
-                     + j * (j - 1) / 2 * log_q)
+        out = (out - (s[0] + s[1] - s[2])
+               + j * (np.fmax(log_abs, 0) + 1j * arg) + j * (j - 1) / 2 * log_q)
     return complex(out[0]) if shape == () else out.reshape(shape)
-
-
-def _fold(op, x, unit):
-    """Reduce the leading axis of x with the elementwise ufunc op, by halves
-    (padded with unit).  Every element is rounded the same way whatever the
-    trailing shape, which np.prod and np.sum do not promise."""
-    while len(x) > 1:
-        if len(x) % 2:
-            x = np.concatenate([x, np.full_like(x[:1], unit)])
-        x = op(x[:len(x) // 2], x[len(x) // 2:])
-    return x[0]
 
 
 def qpoch_ratio_regularized(alpha, beta, q):
     """(q^alpha; q)_inf / (q^beta; q)_inf * (1-q)^(alpha-beta), in log-space.
 
     As q -> 1 this tends to Gamma(beta)/Gamma(alpha); the regulator keeps the
-    evaluation finite on the way.  Principal branches throughout.
+    evaluation finite on the way.  Principal branches for q^alpha, q^beta
+    and (1-q)^(alpha-beta); the Pochhammer logs are taken modulo 2 pi i,
+    which the final exp removes.
     """
     qv = complex(q)
     a = complex(alpha)
     b = complex(beta)
     lq = np.log(qv)
-    log_num = log_qpoch_inf(np.exp(a * lq), qv)
-    log_den = log_qpoch_inf(np.exp(b * lq), qv)
+    log_num, log_den = log_qpoch_inf(np.exp(np.array([a, b]) * lq), qv)
     if not np.isfinite(log_den):
         raise PoleError(f"(q^beta;q)_inf vanished for beta = {beta}")
     return complex(np.exp(log_num - log_den + (a - b) * np.log(1.0 - qv)))
@@ -354,11 +347,12 @@ def log_hyperbolic_gamma(u, omega: ModularPair):
                        / (exp(2*pi*i*u/omega2);    q)_inf
 
     u may be an array of any shape; every element is computed on its own
-    (log_qpoch_inf takes a factor count that depends on the nome only), so
-    one call on a stacked array returns exactly the values of separate
-    calls, and callers batch.  The result is a log modulo 2 pi i; callers
-    exponentiate.  Raises ConvergenceError when either nome modulus exceeds
-    1 - EPS_MODULAR (near-degenerate pair) or when the numerator argument
+    (log_qpoch_inf takes a head length h and term count N that depend on
+    the nome only), so one call on a stacked array returns exactly the
+    values of separate calls, and callers batch.  The result is a log
+    modulo 2 pi i; callers exponentiate.  Raises ConvergenceError when
+    either nome modulus exceeds 1 - EPS_MODULAR (near-degenerate pair) or
+    when the numerator argument
     exp(2*pi*i*u/omega1) * q~ or the denominator argument
     exp(2*pi*i*u/omega2) leaves double range (a tiny dual nome against a
     large exponential, or |Im(u/omega2)| beyond about 113), and PoleError

@@ -1,6 +1,6 @@
-"""Source hygiene: every name a pentaq module imports is used there, every
-function the benchmark's tracing shims rebind still exists, and the
-truncation policy stays with the engines."""
+"""Source hygiene: every name a pentaq module imports or defines as private
+is used there, every function the benchmark's tracing shims rebind still
+exists, and the truncation policy stays with the engines."""
 
 import ast
 import importlib.util
@@ -47,6 +47,48 @@ def test_checker_flags_an_unused_import():
     tree = ast.parse("import math\nfrom os import path, sep\n"
                      "__all__ = ['sep']\n")
     assert unused_imports(tree) == ["math (line 1)", "path (line 2)"]
+
+
+def unused_private_names(tree: ast.Module) -> list[str]:
+    """Module-level names starting with one underscore (constants,
+    functions, classes and import aliases) that the module never reads."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.asname:
+                    defined[alias.asname] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{name} (line {line})" for name, line in defined.items()
+                  if name.startswith("_") and not name.startswith("__")
+                  and name not in read)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_private_name_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert unused_private_names(tree) == []
+
+
+def test_checker_flags_an_unused_private_name():
+    tree = ast.parse("import math as _math\n_A = 1\n_B: int = 2\n"
+                     "__all__ = []\n"
+                     "def _f():\n    return _A\n"
+                     "class _C:\n    _B = 3\n")
+    assert unused_private_names(tree) == ["_B (line 3)", "_C (line 7)",
+                                          "_f (line 5)", "_math (line 1)"]
 
 
 def test_traced_functions_exist():
