@@ -441,16 +441,30 @@ def _index_term_integrand(p: IndexParams, m_sum: int, signed: bool):
     return f
 
 
-def _index_step(p: IndexParams, m_sum: int, z: np.ndarray) -> np.ndarray:
-    """Term m_sum + 2 over term m_sum at the nodes z (see eval_index_lhs)."""
-    q, a, b = p.q, p.a, p.b
-    v = math.prod(b) / math.prod(a) * z ** -6
-    for i in range(3):
-        qn = q ** ((p.n[i] + m_sum) / 2)
-        qm = q ** ((p.m[i] - m_sum) / 2)
-        v = v * ((1 - qn * a[i] * z) * (1 - qm * z / b[i])
-                 / ((1 - q * qn / (a[i] * z)) * (1 - qm / q * b[i] / z)))
-    return v
+def _index_step(p: IndexParams):
+    """The step (m_sum, z) -> term m_sum + 2 over term m_sum at the nodes z
+    (see eval_index_lhs), with its parameter arrays built once.
+
+    B_i and C_i are q^{k_i/2} a_i z and q^{l_i/2} z / b_i; z^{-6} goes into
+    the denominators as z (1 - A_i) = z - q^{1+k_i/2} / a_i and
+    z (1 - D_i) = z - q^{l_i/2-1} b_i.  The step is the product of the six
+    ratios (1 - B_i) / (z - z A_i) and (1 - C_i) / (z - z D_i).
+    """
+    q = p.q
+    a, b = np.array(p.a), np.array(p.b)
+    half_spins = np.concatenate([p.n, p.m]) / 2
+    # k_i/2 = n_i/2 + m/2 and l_i/2 = m_i/2 - m/2
+    shift = np.repeat([0.5, -0.5], 3)
+    num = np.concatenate([a, 1 / b])
+    den = np.concatenate([q / a, b / q])
+    ratio = np.prod(b) / np.prod(a)
+
+    def step(m_sum: int, z: np.ndarray) -> np.ndarray:
+        powers = q ** (half_spins + shift * m_sum)   # q^{k_i/2}, q^{l_i/2}
+        return ratio * np.prod((1 - (powers * num)[:, None] * z)
+                               / (z - (powers * den)[:, None]), axis=0)
+
+    return step
 
 
 def eval_index_lhs(p: IndexParams, policy: TruncationPolicy = DEFAULT_POLICY,
@@ -479,12 +493,20 @@ def eval_index_lhs(p: IndexParams, policy: TruncationPolicy = DEFAULT_POLICY,
     takes one qpoch_inf call per level, on the (12, n) array of its six
     numerator and six denominator arguments at the level's n nodes, and one
     for its scalar prefactor (see _index_term_integrand).
+
+    q, a_i = q^{s_i} and b_i = q^{t_i} are real (IndexParams keeps
+    0 < q < 1 and real exponents) and the spins are integers, so every
+    Pochhammer argument and every step factor at conj z is the conjugate
+    of its value at z: each term satisfies f(conj z) = conj f(z).  So
+    :func:`integrate_unit_circle` evaluates only the roots with Im z >= 0
+    (``conjugate_symmetric=True``), and the sum is real.
     """
     signed = _check_convention(convention)
     grid = _TermGrid(partial(_index_term_integrand, p, signed=signed),
-                     partial(_index_step, p))
+                     _index_step(p))
     return _sum_of_integrals(
-        lambda m_sum: integrate_unit_circle(grid.integrand(m_sum), policy),
+        lambda m_sum: integrate_unit_circle(grid.integrand(m_sum), policy,
+                                            conjugate_symmetric=True),
         Tail(alternating=not signed), policy)
 
 
@@ -572,31 +594,53 @@ def gamma_reflection_factor(p: GammaParams) -> float:
 
 
 def _gamma_term_integrand(p: GammaParams, m_sum: int, signed: bool):
-    """Vectorized real-line integrand (SPHERE kernels) for one m-term."""
-    alpha = np.array(p.alpha)[:, None]
-    beta = np.array(p.beta)[:, None]
-    nshift = (np.array(p.n)[:, None] + m_sum) / 2
-    mshift = (np.array(p.m)[:, None] - m_sum) / 2
+    """Vectorized real-line integrand (SPHERE kernels) for one m-term.
+
+    Each call takes one log_gamma call on a (12, n) array: rows 0-2 are
+    a_i + k_i, rows 3-5 1 - a_i + k_i, rows 6-8 b_i + l_i and rows 9-11
+    1 - b_i + l_i (a_i = alpha_i + i u, b_i = beta_i - i u,
+    k_i = (n_i + m)/2, l_i = (m_i - m)/2), and the integrand is the weight
+    times exp of rows 0-2 and 6-8 minus rows 3-5 and 9-11.
+    """
+    alpha, beta = np.array(p.alpha), np.array(p.beta)
+    k = (np.array(p.n) + m_sum) / 2
+    l = (np.array(p.m) - m_sum) / 2
+    # each row is its constant plus its sign times i u
+    const = np.concatenate([alpha + k, 1 - alpha + k,
+                            beta + l, 1 - beta + l])[:, None]
+    sign = np.repeat([1.0, -1.0, -1.0, 1.0], 3)[:, None]
+    combine = np.repeat([1.0, -1.0, 1.0, -1.0], 3)
     weight = ((-1.0) ** m_sum if signed else 1.0) / (2 * np.pi)
 
     def f(u):
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        a = alpha + 1j * u[None, :]
-        b = beta - 1j * u[None, :]
-        s = (log_gamma(a + nshift) - log_gamma(1 - a + nshift)
-             + log_gamma(b + mshift) - log_gamma(1 - b + mshift)).sum(axis=0)
-        return weight * np.exp(s)
+        return weight * np.exp(combine @ log_gamma(const + sign * (1j * u)))
 
     return f
 
 
-def _gamma_step(p: GammaParams, m_sum: int, u: np.ndarray) -> np.ndarray:
-    """Term m_sum + 2 over term m_sum at the nodes u (see eval_gamma_lhs)."""
-    a = np.array(p.alpha)[:, None] + 1j * u
-    b = np.array(p.beta)[:, None] - 1j * u
-    k = (np.array(p.n)[:, None] + m_sum) / 2
-    l = (np.array(p.m)[:, None] - m_sum) / 2
-    return ((a + k) * (l - b) / ((1 - a + k) * (b + l - 1))).prod(axis=0)
+def _gamma_step(p: GammaParams):
+    """The step (m_sum, u) -> term m_sum + 2 over term m_sum at the nodes u
+    (see eval_gamma_lhs), with its parameter arrays built once.
+
+    With a_i = alpha_i + i u and b_i = beta_i - i u, the factors a_i + k_i
+    and l_i - b_i are constants plus i u, and 1 - a_i + k_i and
+    b_i + l_i - 1 constants minus i u; the step is the product of their
+    six ratios.
+    """
+    alpha, beta = np.array(p.alpha), np.array(p.beta)
+    half_n, half_m = np.array(p.n) / 2, np.array(p.m) / 2
+    num = np.concatenate([alpha + half_n, half_m - beta])
+    den = np.concatenate([1 - alpha + half_n, beta + half_m - 1])
+    shift = np.repeat([0.5, -0.5], 3)   # k_i = n_i/2 + m/2, l_i = m_i/2 - m/2
+
+    def step(m_sum: int, u: np.ndarray) -> np.ndarray:
+        iu = 1j * u
+        d = shift * m_sum
+        return np.prod(((num + d)[:, None] + iu) / ((den + d)[:, None] - iu),
+                       axis=0)
+
+    return step
 
 
 def eval_gamma_lhs(p: GammaParams, policy: TruncationPolicy = DEFAULT_POLICY,
@@ -624,16 +668,24 @@ def eval_gamma_lhs(p: GammaParams, policy: TruncationPolicy = DEFAULT_POLICY,
     direct: they seed the even and the odd chain in both directions, so no
     term lies more than |m|/2 steps from a direct value, and the terms that
     carry most of the sum are exact to rounding.  So ``log_gamma`` runs for
-    three terms only, and every other term costs one rational step per node.
+    three terms only, one call per level on a (12, n) array, and every
+    other term costs one rational step per node.
+
+    alpha_i and beta_i are real and the spins integers, so
+    Gamma(conj w) = conj Gamma(w) turns u into -u as conjugation: each
+    term, and each step, satisfies f(-u) = conj f(u).  So
+    :func:`integrate_real_line` evaluates only u <= 0
+    (``conjugate_symmetric=True``), and the sum is real.
     """
     signed = _check_convention(convention)
     grid = _TermGrid(partial(_gamma_term_integrand, p, signed=signed),
-                     partial(_gamma_step, p))
+                     _gamma_step(p))
 
     def integrate_term(m_sum: int) -> QuadratureResult:
         f = grid.integrand(m_sum)
         return integrate_real_line(
-            lambda t: _GAMMA_SCALE * f(_GAMMA_SCALE * t), policy)
+            lambda t: _GAMMA_SCALE * f(_GAMMA_SCALE * t), policy,
+            conjugate_symmetric=True)
 
     return _sum_of_integrals(
         integrate_term, Tail(power=3, leading=4.0, alternating=not signed),

@@ -2,15 +2,19 @@
 sums over all integers whose tail follows a model the caller names.
 
 Both quadratures are one rule: the nested trapezoid rule in an angle
-(:func:`_nested_trapezoid`), on z = exp(2 pi i x) for the circle and on
-u = tan theta for the real line.  The three engines share a result type
-carrying the value, a conservative error estimate, evaluation counts, and
-an explicit tail estimate.  Only the sum extrapolates; both quadratures
+(:func:`_nested_trapezoid`) on the nodes x = k/n, on z = exp(2 pi i x) for
+the circle and on u = tan theta for the real line.  That node set is its
+own mirror image, z -> conj z and u -> -u, so a caller whose integrand is
+conjugate-symmetric (real parameters) passes ``conjugate_symmetric=True``
+and has only half the nodes evaluated.  The three engines share a result
+type carrying the value, a conservative error estimate, evaluation counts,
+and an explicit tail estimate.  Only the sum extrapolates; both quadratures
 cover their whole contour and report a tail estimate of 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -90,28 +94,54 @@ class QuadratureResult:
         return rec
 
 
-def _nested_trapezoid(g, offset: float,
-                      policy: TruncationPolicy) -> QuadratureResult:
-    """Mean of the 1-periodic ``g`` by the trapezoid rule on the nodes
-    offset + k/n, n = 64, 128, 256, ...
+@functools.cache
+def _level(refinements: int, conjugate_symmetric: bool):
+    """The new nodes x = k/n of one level of :func:`_nested_trapezoid`, and
+    their weights under ``conjugate_symmetric`` (None without it)."""
+    n = _FIRST_NODES << refinements
+    k = np.arange(1, n, 2) if refinements else np.arange(n)
+    weights = None
+    if conjugate_symmetric:
+        k = k[2 * k <= n]
+        weights = np.where((k == 0) | (2 * k == n), 1.0, 2.0)
+    x = k / n
+    x.flags.writeable = False   # shared by every call
+    return x, weights
+
+
+def _nested_trapezoid(g, policy: TruncationPolicy,
+                      conjugate_symmetric: bool = False) -> QuadratureResult:
+    """Mean of the 1-periodic ``g`` by the trapezoid rule on the nodes k/n,
+    n = 64, 128, 256, ...
 
     Level 0 evaluates all 64 nodes; each doubling to 2n evaluates only the
-    n new odd nodes offset + (2k + 1)/2n and adds their sum to the running
-    total, until two successive means agree to
-    max(abs_tol, rel_tol * |value|) or ``policy.max_refinements`` doublings
-    are spent.  So ``evaluations`` is the final node count
-    64 * 2**refinements_used.  The error estimate is the last difference
-    between levels.  A level that is not finite raises ConvergenceError.
+    n new odd nodes (2k + 1)/2n and adds their sum to the running total,
+    until two successive means agree to max(abs_tol, rel_tol * |value|) or
+    ``policy.max_refinements`` doublings are spent.  So ``evaluations`` is
+    the final node count 64 * 2**refinements_used.  The error estimate is
+    the last difference between levels.  A level that is not finite raises
+    ConvergenceError.
+
+    The node set of every level maps onto itself under x -> 1 - x (mod 1).
+    With ``conjugate_symmetric`` the caller promises g(1 - x) = conj g(x),
+    and each level evaluates only its nodes in [0, 1/2]: the self-mirror
+    nodes 0 and 1/2 (level 0 only) count Re g once, every other node
+    2 Re g, and the value is real.  ``evaluations`` still counts the rule's
+    nodes, mirrors included.
 
     Call contract: on its j-th call (j = 0, 1, ...) ``g`` receives level j's
-    new nodes, in that order, as one array.
+    new nodes, or with ``conjugate_symmetric`` those in [0, 1/2], in
+    increasing order, as one array.  Node 0 is evaluated like any other.
     """
     # level 0 has no predecessor; its difference from nan never converges
     total, prev = 0j, math.nan
     for refinements in range(policy.max_refinements + 1):
         n = _FIRST_NODES << refinements
-        k = np.arange(1, n, 2) if refinements else np.arange(n)
-        total += complex(np.sum(g(offset + k / n)))
+        x, weights = _level(refinements, conjugate_symmetric)
+        if conjugate_symmetric:
+            total += float(weights @ g(x).real)
+        else:
+            total += complex(np.sum(g(x)))
         value = total / n
         if not np.isfinite(value):
             raise ConvergenceError(f"quadrature level on {n} nodes is {value}")
@@ -132,35 +162,48 @@ def _nested_trapezoid(g, offset: float,
 
 
 def integrate_real_line(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
-                        u_max: float = math.inf) -> QuadratureResult:
-    """Integral of `integrand` over |u| < u_max, by default the whole line.
+                        u_max: float = math.inf,
+                        conjugate_symmetric: bool = False) -> QuadratureResult:
+    """Integral of `integrand` over |u| <= u_max, by default the whole line.
 
-    u = tan(theta) maps it to theta in (-theta_max, theta_max),
+    u = tan(theta) maps it to theta in [-theta_max, theta_max],
     theta_max = atan(u_max), which :func:`_nested_trapezoid` covers as
-    theta = theta_max (2x - 1), x in [0, 1).  Its nodes sit a third of the
-    first step off the dyadic grid, so no level reaches theta = +-theta_max,
-    which is u = +-inf on the whole line.  There, decay like an even power
-    |u|^{-2k} gives a smooth pi-periodic function of theta, on which the
-    trapezoid rule converges exponentially (Trefethen and Weideman); so no
-    tail model is needed and ``tail_estimate`` is 0.  Odd powers such as
-    (1 + u^2)^{-3/2} leave a kink at theta = +-pi/2 and converge only
-    algebraically (65,536 evaluations, error 3.2e-11).  A finite ``u_max``
-    keeps the nodes on an integrand's support.  The map has scale 1: a
-    caller whose integrand lives on another scale L integrates
-    L f(L u) instead.  The nodes depend on ``u_max`` alone, and the
-    integrand is evaluated at them only: on its j-th call the engine passes
-    ``integrand`` the images u of level j's new nodes as one array.
+    theta = theta_max (2x - 1), x in [0, 1).  Level 0 holds u = 0 and the
+    endpoint theta = -theta_max, which is u = -u_max, or on the whole line
+    u = tan(-pi/2) = -1.6e16 in floating point.  The endpoint is evaluated
+    like any other node: there the weight 2 theta_max sec^2 theta is about
+    pi u^2, so the node carries pi times the limit of u^2 f(u), 0 for an
+    integrand decaying faster than u^{-2} and pi for the Lorentzian
+    1/(1 + u^2).  Decay like an even power |u|^{-2k} gives a smooth
+    pi-periodic function of theta, on which the trapezoid rule converges
+    exponentially (Trefethen and Weideman); so no tail model is needed and
+    ``tail_estimate`` is 0.  Odd powers such as (1 + u^2)^{-3/2} leave a
+    kink at theta = +-pi/2 and converge only algebraically (262,144
+    evaluations, error 2.4e-11).  A finite ``u_max`` keeps the nodes on an
+    integrand's support.  The map has scale 1: a caller whose integrand
+    lives on another scale L integrates L f(L u) instead.
+
+    ``conjugate_symmetric=True`` is the caller's promise that
+    f(-u) = conj f(u), as for an integrand whose parameters are all real
+    (Schwarz reflection).  Then only u <= 0 is evaluated, the mirror nodes
+    u > 0 are taken as conjugates, and the value is real.
+
+    The nodes depend on ``u_max`` alone, and the integrand is evaluated at
+    them only: on its j-th call the engine passes ``integrand`` the images
+    u of level j's new nodes (those with u <= 0 under
+    ``conjugate_symmetric``) as one array.
     """
     theta_max = math.atan(u_max)
 
     def g(x):
-        theta = theta_max * (2 * (x % 1.0) - 1)
+        theta = theta_max * (2 * x - 1)
         return integrand(np.tan(theta)) * (2 * theta_max / np.cos(theta) ** 2)
 
-    return _nested_trapezoid(g, 1 / (3 * _FIRST_NODES), policy)
+    return _nested_trapezoid(g, policy, conjugate_symmetric)
 
 
 def integrate_unit_circle(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
+                          conjugate_symmetric: bool = False,
                           ) -> QuadratureResult:
     """Contour average (1/2 pi i) oint f(z) dz / z: the mean of f at the
     n-th roots of unity, n = 64, 128, ..., by :func:`_nested_trapezoid` on
@@ -168,13 +211,19 @@ def integrate_unit_circle(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
     for integrands analytic in an annulus around |z| = 1 (Trefethen and
     Weideman, SIAM Rev. 2014).
 
+    ``conjugate_symmetric=True`` is the caller's promise that
+    f(conj z) = conj f(z), as for an integrand whose parameters are all
+    real.  Then only the roots with Im z >= 0 are evaluated, their mirrors
+    are taken as conjugates, and the value is real.
+
     Call contract: on its j-th call (j = 0, 1, ...) the engine passes
     ``integrand`` level j's new nodes, the 64 roots of unity and then the n
-    new odd roots exp(2 pi i (2k + 1) / 2n), in that order, as one array; a
-    caller may build its values from its own values at level j.
+    new odd roots exp(2 pi i (2k + 1) / 2n), in that order, as one array
+    (under ``conjugate_symmetric`` only those with Im z >= 0); a caller may
+    build its values from its own values at level j.
     """
     return _nested_trapezoid(lambda x: integrand(np.exp(2j * np.pi * x)),
-                             0.0, policy)
+                             policy, conjugate_symmetric)
 
 
 @dataclass(frozen=True)

@@ -68,23 +68,25 @@ def _circle_levels(count: int) -> list:
 
 def _line_levels(count: int) -> list:
     """The new nodes of integrate_real_line's first ``count`` levels on the
-    whole line, scaled to eval_gamma_lhs's u = _GAMMA_SCALE * tan(theta)."""
+    whole line, scaled to eval_gamma_lhs's u = _GAMMA_SCALE * tan(theta):
+    x = k/n, all 64 of them and then the odd k of 128, 256, ...; level 0
+    holds u = 0 and the endpoint tan(-pi/2) = -1.6e16."""
     levels = []
     for j in range(count):
         n = 64 * 2**j
-        x = 1 / 192 + (np.arange(1, n, 2) if j else np.arange(n)) / n
+        x = (np.arange(1, n, 2) if j else np.arange(n)) / n
         levels.append(_GAMMA_SCALE * np.tan(np.pi * (x - 0.5)))
     return levels
 
 
 def _index_grid(p, signed):
     return _TermGrid(partial(_index_term_integrand, p, signed=signed),
-                     partial(_index_step, p))
+                     _index_step(p))
 
 
 def _gamma_grid(p, signed):
     return _TermGrid(partial(_gamma_term_integrand, p, signed=signed),
-                     partial(_gamma_step, p))
+                     _gamma_step(p))
 
 
 class TestOperatorAndClassical:
@@ -392,9 +394,9 @@ class TestGamma:
                     1e-12 * np.max(np.abs(want)), (p, m)
 
     def test_log_gamma_only_in_direct_terms(self, monkeypatch):
-        # only the terms |m| <= 1 call log_gamma, four (3, n) arrays per
-        # level, so 12 values per node; each of their levels is evaluated
-        # once, whichever term needs it first
+        # only the terms |m| <= 1 call log_gamma, one (12, n) array per
+        # level on the u <= 0 half of its nodes (33, then 16 * 2**j); each
+        # of their levels is evaluated once, whichever term needs it first
         import pentaq.identities as identities
 
         direct_levels, calls = {}, []
@@ -409,7 +411,7 @@ class TestGamma:
             return f
 
         def counting_log_gamma(z):
-            calls.append(np.size(z))
+            calls.append(np.shape(z))
             return log_gamma(z)
 
         monkeypatch.setattr(identities, "_gamma_term_integrand",
@@ -418,10 +420,9 @@ class TestGamma:
         eval_gamma_lhs(GAMMA_POINT)
         assert set(direct_levels) == {-1, 0, 1}
         for sizes in direct_levels.values():
-            assert sizes == [64] + [32 * 2**j for j in range(1, len(sizes))]
-        nodes = sum(map(sum, direct_levels.values()))
-        assert len(calls) == 4 * sum(map(len, direct_levels.values()))
-        assert sum(calls) == 12 * nodes
+            assert sizes == [33] + [16 * 2**j for j in range(1, len(sizes))]
+        assert sorted(calls) == sorted((12, n) for sizes in
+                                       direct_levels.values() for n in sizes)
 
     def test_criterion_points_converge_cheaply(self):
         rng = np.random.default_rng(5)

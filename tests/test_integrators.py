@@ -77,7 +77,8 @@ class TestRealLine:
 
     @pytest.mark.parametrize("u_max", [8.0, math.inf])
     def test_levels_nest(self, u_max):
-        # each doubling evaluates only the new odd nodes, none at |u| = u_max
+        # each doubling evaluates only the new odd nodes; level 0 holds
+        # u = 0 and the endpoint u = -u_max (tan(-pi/2) on the whole line)
         seen = []
 
         def f(u):
@@ -93,8 +94,10 @@ class TestRealLine:
                                                    for j in range(1, r + 1)]
         nodes = np.concatenate(seen)
         assert nodes.size == res.evaluations
-        assert np.all(np.isfinite(nodes)) and np.all(np.abs(nodes) < u_max)
+        assert np.all(np.isfinite(nodes)) and np.all(np.abs(nodes) <= u_max)
         assert np.unique(nodes).size == nodes.size
+        assert seen[0][32] == 0
+        assert seen[0][0] == np.tan(-math.atan(u_max)) == nodes.min()
         assert res.value == pytest.approx(math.sqrt(math.pi), rel=0,
                                           abs=1e-13)
 
@@ -148,6 +151,63 @@ class TestUnitCircle:
         assert np.allclose(np.sort_complex(nodes), np.sort_complex(roots),
                            rtol=0, atol=1e-15)
         assert abs(res.value - np.mean(1 / (1 - a * roots))) <= 1e-15
+
+
+def _recording(f, seen):
+    def g(x):
+        seen.append(x)
+        return f(x)
+    return g
+
+
+# conjugate-symmetric integrands, f(conj x) = conj f(x), with their values
+SYMMETRIC = {
+    integrate_real_line: (lambda u: np.exp(-u**2 + 1j * u),
+                          math.sqrt(math.pi) * math.exp(-0.25)),
+    integrate_unit_circle: (lambda z: np.exp(z) / (1 - 0.4 * z), 1.0),
+}
+
+
+@pytest.mark.parametrize("engine", list(SYMMETRIC),
+                         ids=lambda e: e.__name__)
+class TestConjugateSymmetric:
+    def test_half_nodes_match_full_rule(self, engine):
+        # same levels and value as the full-node rule, to rounding, from
+        # the closed half of the nodes: u <= 0, or Im z >= 0
+        f, expected = SYMMETRIC[engine]
+        half_seen = []
+        full = engine(f)
+        half = engine(_recording(f, half_seen), conjugate_symmetric=True)
+        assert half.value.imag == 0
+        assert half.value == pytest.approx(full.value, rel=0, abs=4e-16)
+        assert half.value == pytest.approx(expected, rel=1e-13)
+        assert half.refinements_used == full.refinements_used
+        r = half.refinements_used
+        assert half.evaluations == full.evaluations == 64 * 2**r
+        sizes = [lv.size for lv in half_seen]
+        assert sizes == [33] + [16 * 2**j for j in range(1, r + 1)]
+        nodes = np.concatenate(half_seen)
+        if engine is integrate_real_line:
+            assert np.all(nodes <= 0) and nodes.max() == 0
+        else:
+            assert np.all(nodes.imag >= 0)
+            assert nodes[0] == 1 and nodes[32] == pytest.approx(-1, abs=1e-15)
+
+    def test_non_symmetric_integrand_gets_every_node(self, engine):
+        # (1 + 2i) f is not conjugate-symmetric; without the keyword the
+        # engine evaluates every node k/n of the rule, mirrors included
+        f, expected = SYMMETRIC[engine]
+        seen = []
+        res = engine(_recording(lambda x: (1 + 2j) * f(x), seen))
+        nodes = np.concatenate(seen)
+        if engine is integrate_real_line:
+            x = np.arctan(nodes) / np.pi + 0.5
+        else:
+            x = np.angle(nodes) / (2 * np.pi) % 1
+        n = res.evaluations
+        assert np.sort(x) == pytest.approx(np.arange(n) / n, rel=0,
+                                           abs=1e-15)
+        assert res.value == pytest.approx((1 + 2j) * expected, rel=1e-13)
 
 
 class TestBilateralSum:

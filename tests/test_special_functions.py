@@ -340,6 +340,8 @@ class TestQPochhammer:
     # q one rounding off the negative axis: powers q^k taken as
     # exp(k log q) miss the tolerance there by 3x
     @example(-0.9986664785678366 + 1.22301370639386e-16j, 0.0, 1.0)
+    # q near +1: powers q^k by doubling miss the tolerance here
+    @example(0.9963659266555661 + 0.0019460296750044752j, 0.0, 1.0)
     @settings(max_examples=40, deadline=None)
     def test_log_split_near_unit_modulus(self, q, log10_abs, phase):
         assert_log_qpoch_matches_oracle(10**log10_abs * cmath.exp(1j * phase),
