@@ -82,14 +82,13 @@ def b_idx(a, n: int, b, m: int, q) -> complex:
 
 def log_b_gamma_disc(a, n: int, b, m: int) -> complex:
     """log of the discrete gamma kernel; array-capable in a, b."""
-    return (log_gamma(np.asarray(a, dtype=complex) + n / 2)
-            - log_gamma(1 - np.asarray(a, dtype=complex) + n / 2)
-            + log_gamma(np.asarray(b, dtype=complex) + m / 2)
-            - log_gamma(1 - np.asarray(b, dtype=complex) + m / 2)
-            + log_gamma(1 - np.asarray(a, dtype=complex)
-                        - np.asarray(b, dtype=complex) + (n + m) / 2)
-            - log_gamma(np.asarray(a, dtype=complex)
-                        + np.asarray(b, dtype=complex) + (n + m) / 2))
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex),
+                               np.asarray(b, dtype=complex))
+    k, l, kl = n / 2, m / 2, (n + m) / 2
+    # numerator and denominator of the three ratios, in one call
+    lg = log_gamma(np.array([a + k, 1 - a + k, b + l, 1 - b + l,
+                             1 - a - b + kl, a + b + kl]))
+    return lg[0] - lg[1] + lg[2] - lg[3] + lg[4] - lg[5]
 
 
 def b_gamma_disc(a, n: int, b, m: int):
@@ -115,11 +114,8 @@ def b_gamma_disc(a, n: int, b, m: int):
         if abs(z.imag) < 1e-12 and z.real <= 1e-12 and \
                 abs(z.real - round(z.real)) < 1e-12:
             raise PoleError(f"{name} has nonpositive-integer argument {z}")
-    out = np.exp(log_b_gamma_disc(a, n, b, m))
-    if np.ndim(out) == 0:
-        out = complex(out)
-        return out.real if abs(out.imag) < 1e-12 * max(1.0, abs(out.real)) else out
-    return out
+    out = complex(np.exp(log_b_gamma_disc(a, n, b, m)))
+    return out.real if abs(out.imag) < 1e-12 * max(1.0, abs(out.real)) else out
 
 
 def b_beta(x, y) -> complex:
@@ -166,6 +162,12 @@ class HyperbolicParams:
                     raise ValueError(
                         f"pole separation violated: Re((a+b)/(w1+w2)) = {r}"
                     )
+        # along u = i t the integrand decays like exp(-2 pi decay |t|)
+        # (eval_hyperbolic_lhs); without decay the integral diverges
+        decay = (1 / self.omega.omega1 + 1 / self.omega.omega2).real
+        if decay <= 0:
+            raise ValueError(
+                f"integrand does not decay: Re(1/w1 + 1/w2) = {decay}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 

@@ -75,7 +75,12 @@ class TestVerify:
         ("index", {"s": [-0.05, 0.3, 0.25], "t": [0.2, 0.2, 0.1],
                    "n": [0, 0, 0], "m": [0, 0, 0], "q": 0.3}),
         ("classical", {"x": 1.5, "y": 0.3}),
-    ], ids=["index-spins", "index-negative-exponent", "classical-outside"])
+        # balanced and pole-separated, but Re(1/w1 + 1/w2) < 0
+        ("hyperbolic", {"a": [[0.05, 0.03]] * 3,
+                        "b": [[0.05, 0.03]] * 2 + [[0.25, 0.15]],
+                        "omega1": [-0.5, 0.3], "omega2": [1.0, 0.0]}),
+    ], ids=["index-spins", "index-negative-exponent", "classical-outside",
+            "hyperbolic-no-decay"])
     def test_params_file_constraint_violation_reported(self, runner,
                                                        tmp_path, identity,
                                                        rec):

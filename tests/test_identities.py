@@ -55,6 +55,11 @@ INDEX_POINT = IndexParams.balanced(0.12, 0.21, 0.17, 0.08,
 GAMMA_POINT = GammaParams.balanced(0.12, 0.21, 0.17, 0.08,
                                    1, -2, 0, 1)
 
+# the points of acceptance criteria 3, 4 and 7, drawn in the same order
+CRITERION_3_PAIRS = (ModularPair(0.4 + 0.9j, 1.0),
+                     ModularPair(0.3 + 0.7j, 1.1),
+                     ModularPair(0.6 + 1.3j, 0.9))
+
 
 def _circle_levels(count: int) -> list:
     """The new nodes of integrate_unit_circle's first ``count`` levels: all
@@ -122,10 +127,10 @@ class TestHyperbolic:
             base.rel_residual * abs(base.rhs), 1e-13)
 
     def test_one_gamma_call_per_batch(self, monkeypatch):
-        # log_hyperbolic_gamma takes one call per integrand call (the
-        # support probes included), one for the centre and one per b_hyp,
-        # and each reaches log_qpoch_inf through its module binding: the
-        # benchmark's tracing rebinds the names, as done here
+        # log_hyperbolic_gamma takes one call per integrand call, one for
+        # the centre and one per b_hyp, and each reaches log_qpoch_inf
+        # through its module binding: the benchmark's tracing rebinds the
+        # names, as done here
         import pentaq.identities as identities
         import pentaq.integrators as integrators
         import pentaq.kernels as kernels
@@ -188,12 +193,39 @@ class TestHyperbolic:
         # six values per node, and three for the centre and each b_hyp
         assert sum(qpoch_calls) == 2 * (6 * sum(integrand_calls) + 9)
         engine = rep.truncation_diagnostics["integral"]["evaluations"]
-        assert sum(integrand_calls) > engine   # the support probes too
+        # the engine's nodes and nothing else
+        assert sum(integrand_calls) == engine
 
-    @pytest.mark.parametrize("w", [0.02 + 0.02j, 0.0005 + 0.0005j])
+    @pytest.mark.parametrize("omega", CRITERION_3_PAIRS + tuple(
+        ModularPair(s * (1 + 1j), 1.0) for s in (0.05, 0.02, 0.015)))
+    def test_window_edge_is_negligible(self, monkeypatch, omega):
+        # the integrand falls like exp(-kappa |t|), so at the window edge
+        # 160/kappa it is far below its centre value
+        import pentaq.identities as identities
+
+        seen = []
+        monkeypatch.setattr(identities, "integrate_real_line",
+                            lambda f, policy, u_max: seen.append((f, u_max)))
+        for seed in range(3):
+            p = sample_hyperbolic(np.random.default_rng(seed), omega)
+            identities.eval_hyperbolic_lhs(p)
+            f, u_max = seen[-1]
+            centre, left, right = np.abs(f(np.array([0.0, -u_max, u_max])))
+            assert max(left, right) <= np.exp(-100) * centre
+
+    @pytest.mark.parametrize("w", [0.02 + 0.02j, 0.015 + 0.015j])
+    def test_small_dual_nome_verifies(self, w):
+        # the window 160/kappa shrinks like omega1, which keeps
+        # exp(2 pi i u / omega1) q~ inside double range on the contour
+        p = sample_hyperbolic(np.random.default_rng(0), ModularPair(w, 1.0))
+        rep = verify_pentagon_hyperbolic(p)
+        assert rep.passed
+        assert rep.rel_residual < 1e-12
+
+    @pytest.mark.parametrize("w", [0.0005 + 0.0005j])
     def test_tiny_dual_nome_is_refused(self, w):
-        # exp(2 pi i u / omega1) overflows on the contour; times q~ it is
-        # inf (q~ ~ 6e-69) or inf * 0 = nan (q~ underflows to 0)
+        # q~ underflows to 0, and exp(2 pi i u / omega1) already overflows
+        # at the parameters themselves: inf * 0 = nan
         p = sample_hyperbolic(np.random.default_rng(0), ModularPair(w, 1.0))
         with pytest.raises(ConvergenceError, match="dual nome"):
             verify_pentagon_hyperbolic(p)
@@ -424,6 +456,25 @@ class TestGamma:
         assert sorted(calls) == sorted((12, n) for sizes in
                                        direct_levels.values() for n in sizes)
 
+    def test_product_side_in_one_call_per_factor(self, monkeypatch):
+        # outside the sum-integral, one log_gamma call for each kernel of
+        # TWO_B, one for the nine-factor form and one for T
+        import pentaq.identities as identities
+        import pentaq.kernels as kernels
+
+        lhs = eval_gamma_lhs(GAMMA_POINT)
+        calls = []
+
+        def counting_log_gamma(z):
+            calls.append(np.shape(z))
+            return log_gamma(z)
+
+        for module in (identities, kernels):
+            monkeypatch.setattr(module, "log_gamma", counting_log_gamma)
+        monkeypatch.setattr(identities, "eval_gamma_lhs", lambda *args: lhs)
+        assert verify_pentagon_gamma(GAMMA_POINT).passed
+        assert sorted(calls) == [(2, 3), (2, 9), (6,), (6,)]
+
     def test_criterion_points_converge_cheaply(self):
         rng = np.random.default_rng(5)
         points = [GammaParams.symmetric_point()]
@@ -580,12 +631,6 @@ class TestReportRecords:
         assert not replace(rep, converged=False).passed
         assert not replace(rep, abs_error_estimate=2 * rep.target
                            * abs(rep.rhs)).passed
-
-
-# the points of acceptance criteria 3, 4 and 7, drawn in the same order
-CRITERION_3_PAIRS = (ModularPair(0.4 + 0.9j, 1.0),
-                     ModularPair(0.3 + 0.7j, 1.1),
-                     ModularPair(0.6 + 1.3j, 0.9))
 
 
 @pytest.mark.parametrize("verify, sample, seed", [

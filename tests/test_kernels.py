@@ -96,6 +96,14 @@ class TestParamContainers:
                                       0.11 * ws, 0.13 * ws, omega)
         assert sum(p.a) + sum(p.b) == pytest.approx(ws, rel=1e-14)
 
+    def test_hyperbolic_rejects_non_decaying_pair(self):
+        # Re(1/w1 + 1/w2) = -0.47: the integrand grows along u = i t
+        omega = ModularPair(-0.5 + 0.3j, 1.0)
+        ws = omega.omega_sum
+        with pytest.raises(ValueError, match="does not decay"):
+            HyperbolicParams.balanced(0.1 * ws, 0.1 * ws, 0.1 * ws,
+                                      0.1 * ws, 0.1 * ws, omega)
+
     def test_index_balancing_exact_by_construction(self):
         p = IndexParams.balanced(0.1, 0.2, 0.15, 0.25, 1, -2, 0, 1, 0.3)
         assert sum(p.s) == pytest.approx(0.5, abs=1e-15)
