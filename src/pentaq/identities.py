@@ -40,6 +40,7 @@ from functools import partial
 import numpy as np
 
 from .integrators import (
+    _MAX_RINGS,
     DEFAULT_POLICY,
     QuadratureResult,
     Tail,
@@ -235,21 +236,38 @@ def _sum_of_integrals(integrate_term, tail: Tail, policy: TruncationPolicy,
                    converged=outer.converged and inner_converged)
 
 
+# steps a chain runs past the term that extends it: one step call per level
+# covers the next 8 terms of that direction and parity
+_LOOK_AHEAD = 8
+
+
 class _TermGrid:
     """Every m-term of a sum-integral's integrand on the nested levels of
     its quadrature engine, for one LHS evaluation.
 
     Level j is the set of new nodes the engine passes on its j-th call, the
     same for every term, and values are kept per (m, j).  Only the terms
-    |m| <= 1 are evaluated directly, by ``direct(m)``; term m > 1 is term
-    m - 2 times ``step(m - 2, nodes)``, and term m < -1 is term m + 2
-    divided by ``step(m, nodes)``, where step(m, nodes) is term m + 2 over
-    term m.  A term whose neighbour never reached its level fills the chain
-    from the nearest term known there.
+    m = 0 and m = 1 are evaluated directly, by ``direct(m)``: they seed the
+    even and the odd chain.  Term m > 1 is term m - 2 times step(m - 2),
+    and term m < 0 is term m + 2 divided by step(m), where step(m) is term
+    m + 2 over term m at the level's nodes; so term -(2k + 1) is k + 1
+    steps from term 1.  ``step(ms, nodes)`` takes an array of K values of
+    m and returns the (K, n) array of their steps.
+
+    A term missing at a level extends its half-chain (its parity, on its
+    side of the seed) from the nearest term known there, in one step call
+    and one ``np.multiply.accumulate`` (upward) or ``np.divide.accumulate``
+    (downward) over the rows.  Both keep the left-to-right order of the
+    one-step recurrence; only the last bit of a complex product can differ
+    from an elementwise ``v * step``, which numpy rounds in another loop.
+    The chain runs _LOOK_AHEAD steps past the missing term, but not past
+    |m| = _MAX_RINGS, the farthest ring the m-sum asks for.  Those rows
+    cost rational arithmetic only, on a level whose seed is evaluated
+    anyway.
     """
 
     def __init__(self, direct, step):
-        self._direct = {m: direct(m) for m in (-1, 0, 1)}
+        self._direct = {m: direct(m) for m in (0, 1)}
         self._step = step
         self._nodes: list[np.ndarray] = []
         self._values: dict[tuple[int, int], np.ndarray] = {}
@@ -268,20 +286,37 @@ class _TermGrid:
         return f
 
     def _term(self, m_sum: int, level: int) -> np.ndarray:
-        # walk back to the nearest term known at this level, or a direct one
-        chain, m = [], m_sum
-        while abs(m) > 1 and (m, level) not in self._values:
-            chain.append(m)
-            m -= 2 if m > 0 else -2
+        if (m_sum, level) not in self._values:
+            self._extend(m_sum, level)
+        return self._values[m_sum, level]
+
+    def _extend(self, m_sum: int, level: int) -> None:
+        """Fill the chain of ``m_sum`` at ``level`` through m_sum and
+        _LOOK_AHEAD steps beyond."""
         nodes = self._nodes[level]
-        if (m, level) not in self._values:
-            self._values[m, level] = self._direct[m](nodes)
-        v = self._values[m, level]
-        for m in reversed(chain):
-            v = (v * self._step(m - 2, nodes) if m > 0
-                 else v / self._step(m, nodes))
-            self._values[m, level] = v
-        return v
+        seed = m_sum % 2
+        if (seed, level) not in self._values:
+            self._values[seed, level] = self._direct[seed](nodes)
+        if m_sum == seed:
+            return
+        sign = 1 if m_sum > seed else -1
+        stride = 2 * sign
+        known = m_sum
+        while (known, level) not in self._values:
+            known -= stride
+        reach = sign * max(abs(m_sum),
+                           min(abs(m_sum) + 2 * _LOOK_AHEAD, _MAX_RINGS))
+        ms = np.arange(known + stride, reach + sign, stride)
+        rows = np.empty((len(ms) + 1, len(nodes)), dtype=complex)
+        rows[0] = self._values[known, level]
+        if sign > 0:   # term m = term m - 2 times step(m - 2)
+            rows[1:] = self._step(ms - 2, nodes)
+            np.multiply.accumulate(rows, axis=0, out=rows)
+        else:    # term m = term m + 2 over step(m)
+            rows[1:] = self._step(ms, nodes)
+            np.divide.accumulate(rows, axis=0, out=rows)
+        for m, row in zip(ms.tolist(), rows[1:]):
+            self._values[m, level] = row
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +486,10 @@ def _index_term_integrand(p: IndexParams, m_sum: int, signed: bool):
 
 
 def _index_step(p: IndexParams):
-    """The step (m_sum, z) -> term m_sum + 2 over term m_sum at the nodes z
-    (see eval_index_lhs), with its parameter arrays built once.
+    """The step (ms, z) -> term m + 2 over term m at the nodes z, for each m
+    of the array ``ms`` (see eval_index_lhs): a (K, n) array for K values
+    of m and n nodes, from one broadcast over (K, 6, n).  The parameter
+    arrays are built once.
 
     B_i and C_i are q^{k_i/2} a_i z and q^{l_i/2} z / b_i; z^{-6} goes into
     the denominators as z (1 - A_i) = z - q^{1+k_i/2} / a_i and
@@ -468,10 +505,11 @@ def _index_step(p: IndexParams):
     den = np.concatenate([q / a, b / q])
     ratio = np.prod(b) / np.prod(a)
 
-    def step(m_sum: int, z: np.ndarray) -> np.ndarray:
-        powers = q ** (half_spins + shift * m_sum)   # q^{k_i/2}, q^{l_i/2}
-        return ratio * np.prod((1 - (powers * num)[:, None] * z)
-                               / (z - (powers * den)[:, None]), axis=0)
+    def step(ms: np.ndarray, z: np.ndarray) -> np.ndarray:
+        # q^{k_i/2}, q^{l_i/2}: one row of six per m
+        powers = q ** (half_spins + shift * ms[:, None])
+        return ratio * np.prod((1 - (powers * num)[..., None] * z)
+                               / (z - (powers * den)[..., None]), axis=1)
 
     return step
 
@@ -484,10 +522,11 @@ def eval_index_lhs(p: IndexParams, policy: TruncationPolicy = DEFAULT_POLICY,
     weight +1 and reproduces the deficit of the unsigned form.
 
     All terms share one node set per level of :func:`integrate_unit_circle`
-    (a :class:`_TermGrid`).  The terms |m| <= 1 are evaluated directly;
-    every other term is built from its neighbour m -+ 2 at the same nodes.
-    From m to m + 2 each Pochhammer argument moves by one power of q, and
-    (xq; q)_inf = (x; q)_inf / (1 - x), so the integrand is multiplied by
+    (a :class:`_TermGrid`).  The terms m = 0 and m = 1 are evaluated
+    directly; every other term is built from its neighbour m -+ 2 at the
+    same nodes.  From m to m + 2 each Pochhammer argument moves by one
+    power of q, and (xq; q)_inf = (x; q)_inf / (1 - x), so the integrand is
+    multiplied by
 
         z^{-6} prod_i (b_i / a_i)
                * prod_i (1 - B_i)(1 - C_i) / ((1 - A_i)(1 - D_i)),
@@ -496,12 +535,15 @@ def eval_index_lhs(p: IndexParams, policy: TruncationPolicy = DEFAULT_POLICY,
     C_i = q^{l_i/2} z / b_i, D_i = q^{l_i/2-1} b_i / z, k_i = n_i + m and
     l_i = m_i - m, all taken at m.  Balancing makes prod_i b_i / a_i = 1
     only to the 1e-12 that IndexParams allows, so the step keeps it.
-    Terms m < -1 divide by the step instead.  The Pochhammer products are
-    thus computed for three terms only, and at large |m|, where their
-    ratios overflow to inf/inf, the terms stay finite.  Each of the three
-    takes one qpoch_inf call per level, on the (12, n) array of its six
-    numerator and six denominator arguments at the level's n nodes, and one
-    for its scalar prefactor (see _index_term_integrand).
+    Terms m < 0 divide by the step instead, so term -(2k + 1) is k + 1
+    steps from term 1.  The Pochhammer products are thus computed for two
+    terms only, and at large |m|, where their ratios overflow to inf/inf,
+    the terms stay finite.  Each of the two takes one qpoch_inf call per
+    level, on the (12, n) array of its six numerator and six denominator
+    arguments at the level's n nodes, and one for its scalar prefactor
+    (see _index_term_integrand).  A chain missing a term at a level is
+    extended by one step call on all the m it needs and the next
+    _LOOK_AHEAD beyond, about a dozen calls per LHS.
 
     q, a_i = q^{s_i} and b_i = q^{t_i} are real (IndexParams keeps
     0 < q < 1 and real exponents) and the spins are integers, so every
@@ -627,8 +669,10 @@ def _gamma_term_integrand(p: GammaParams, m_sum: int, signed: bool):
 
 
 def _gamma_step(p: GammaParams):
-    """The step (m_sum, u) -> term m_sum + 2 over term m_sum at the nodes u
-    (see eval_gamma_lhs), with its parameter arrays built once.
+    """The step (ms, u) -> term m + 2 over term m at the nodes u, for each m
+    of the array ``ms`` (see eval_gamma_lhs): a (K, n) array for K values
+    of m and n nodes, from one broadcast over (K, 6, n).  The parameter
+    arrays are built once.
 
     With a_i = alpha_i + i u and b_i = beta_i - i u, the factors a_i + k_i
     and l_i - b_i are constants plus i u, and 1 - a_i + k_i and
@@ -641,11 +685,11 @@ def _gamma_step(p: GammaParams):
     den = np.concatenate([1 - alpha + half_n, beta + half_m - 1])
     shift = np.repeat([0.5, -0.5], 3)   # k_i = n_i/2 + m/2, l_i = m_i/2 - m/2
 
-    def step(m_sum: int, u: np.ndarray) -> np.ndarray:
+    def step(ms: np.ndarray, u: np.ndarray) -> np.ndarray:
         iu = 1j * u
-        d = shift * m_sum
-        return np.prod(((num + d)[:, None] + iu) / ((den + d)[:, None] - iu),
-                       axis=0)
+        d = shift * ms[:, None]
+        return np.prod(((num + d)[..., None] + iu)
+                       / ((den + d)[..., None] - iu), axis=1)
 
     return step
 
@@ -671,12 +715,15 @@ def eval_gamma_lhs(p: GammaParams, policy: TruncationPolicy = DEFAULT_POLICY,
 
     with a_i = alpha_i + i u, b_i = beta_i - i u, k_i = (n_i + m)/2 and
     l_i = (m_i - m)/2, all taken at m; the weight (-1)^m does not change.
-    Terms m < -1 divide by the step instead.  The terms |m| <= 1 stay
-    direct: they seed the even and the odd chain in both directions, so no
-    term lies more than |m|/2 steps from a direct value, and the terms that
-    carry most of the sum are exact to rounding.  So ``log_gamma`` runs for
-    three terms only, one call per level on a (12, n) array, and every
-    other term costs one rational step per node.
+    Terms m < 0 divide by the step instead.  The terms m = 0 and m = 1
+    stay direct: they seed the even and the odd chain in both directions,
+    so term m is |m|/2 steps from a direct value, and term -(2k + 1) is
+    k + 1 steps from term 1; the terms that carry most of the sum are exact
+    to rounding.  So ``log_gamma`` runs for two terms only, one call per
+    level on a (12, n) array, and every other term costs one rational step
+    per node: a chain missing a term at a level is extended by one step
+    call on all the m it needs and the next _LOOK_AHEAD beyond, about a
+    dozen calls per LHS.
 
     alpha_i and beta_i are real and the spins integers, so
     Gamma(conj w) = conj Gamma(w) turns u into -u as conjugation: each

@@ -109,10 +109,38 @@ def _level(refinements: int, conjugate_symmetric: bool):
     return x, weights
 
 
+@functools.cache
+def _circle_images(refinements: int, conjugate_symmetric: bool):
+    """Level ``refinements``' new nodes on the unit circle, z = exp(2 pi i x),
+    computed once and shared by every integrand."""
+    z = np.exp(2j * np.pi * _level(refinements, conjugate_symmetric)[0])
+    z.flags.writeable = False
+    return z
+
+
+def _line_images(x, theta_max: float):
+    """The nodes u = tan theta, theta = theta_max (2x - 1), and their weights
+    du/dx = 2 theta_max sec^2 theta."""
+    theta = theta_max * (2 * x - 1)
+    return np.tan(theta), 2 * theta_max / np.cos(theta) ** 2
+
+
+@functools.cache
+def _whole_line_images(refinements: int, conjugate_symmetric: bool):
+    """:func:`_line_images` of level ``refinements`` on the whole line
+    (theta_max = pi/2), computed once and shared by every integrand."""
+    images = _line_images(_level(refinements, conjugate_symmetric)[0],
+                          math.atan(math.inf))
+    for a in images:
+        a.flags.writeable = False
+    return images
+
+
 def _nested_trapezoid(g, policy: TruncationPolicy,
                       conjugate_symmetric: bool = False) -> QuadratureResult:
-    """Mean of the 1-periodic ``g`` by the trapezoid rule on the nodes k/n,
-    n = 64, 128, 256, ...
+    """Mean of a 1-periodic function by the trapezoid rule on the nodes k/n,
+    n = 64, 128, 256, ...; ``g(j)`` returns its values at level j's new
+    nodes, ``_level(j, conjugate_symmetric)[0]``.
 
     Level 0 evaluates all 64 nodes; each doubling to 2n evaluates only the
     n new odd nodes (2k + 1)/2n and adds their sum to the running total,
@@ -129,19 +157,22 @@ def _nested_trapezoid(g, policy: TruncationPolicy,
     2 Re g, and the value is real.  ``evaluations`` still counts the rule's
     nodes, mirrors included.
 
-    Call contract: on its j-th call (j = 0, 1, ...) ``g`` receives level j's
-    new nodes, or with ``conjugate_symmetric`` those in [0, 1/2], in
-    increasing order, as one array.  Node 0 is evaluated like any other.
+    Call contract: ``g`` is called with j = 0, 1, ... in turn.  Level j's
+    new nodes are, in increasing order, the nodes of 64 * 2**j that level
+    j - 1 lacks, or with ``conjugate_symmetric`` those of them in
+    [0, 1/2].  Node 0 is evaluated like any other.  The circle's and the
+    whole line's images of each level are cached beside :func:`_level`, so
+    every term of a sum-integral shares them.
     """
     # level 0 has no predecessor; its difference from nan never converges
     total, prev = 0j, math.nan
     for refinements in range(policy.max_refinements + 1):
         n = _FIRST_NODES << refinements
-        x, weights = _level(refinements, conjugate_symmetric)
+        weights = _level(refinements, conjugate_symmetric)[1]
         if conjugate_symmetric:
-            total += float(weights @ g(x).real)
+            total += float(weights @ g(refinements).real)
         else:
-            total += complex(np.sum(g(x)))
+            total += complex(np.sum(g(refinements)))
         value = total / n
         if not np.isfinite(value):
             raise ConvergenceError(f"quadrature level on {n} nodes is {value}")
@@ -195,9 +226,13 @@ def integrate_real_line(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
     """
     theta_max = math.atan(u_max)
 
-    def g(x):
-        theta = theta_max * (2 * x - 1)
-        return integrand(np.tan(theta)) * (2 * theta_max / np.cos(theta) ** 2)
+    def g(refinements):
+        if u_max == math.inf:
+            u, weight = _whole_line_images(refinements, conjugate_symmetric)
+        else:   # per call: a cache keyed by u_max would grow with each point
+            u, weight = _line_images(
+                _level(refinements, conjugate_symmetric)[0], theta_max)
+        return integrand(u) * weight
 
     return _nested_trapezoid(g, policy, conjugate_symmetric)
 
@@ -222,8 +257,10 @@ def integrate_unit_circle(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
     (under ``conjugate_symmetric`` only those with Im z >= 0); a caller may
     build its values from its own values at level j.
     """
-    return _nested_trapezoid(lambda x: integrand(np.exp(2j * np.pi * x)),
-                             policy, conjugate_symmetric)
+    return _nested_trapezoid(
+        lambda refinements: integrand(_circle_images(refinements,
+                                                     conjugate_symmetric)),
+        policy, conjugate_symmetric)
 
 
 @dataclass(frozen=True)
@@ -246,15 +283,18 @@ class Tail:
         """Predicted sum of the rings after ``rings[-1]``, and the error the
         geometric model owes to the drift of the ratio (0 for power laws)."""
         if self.power is None:
-            mags = np.abs(np.array(rings[-6:], dtype=complex))
-            ratios = mags[1:] / np.maximum(mags[:-1], 1e-300)
-            rho = float(np.median(ratios))
+            # numpy's |r| (Python's abs can differ in the last bit), then
+            # plain floats: np.median and np.ptp cost more than the sort
+            mags = np.abs(np.array(rings[-6:], dtype=complex)).tolist()
+            ratios = sorted(b / max(a, 1e-300) for a, b in zip(mags, mags[1:]))
+            rho = ratios[len(ratios) // 2]   # the median of an odd count
             ratio = -rho if self.alternating else rho
             if ratio >= 1:  # rings that do not decay: no continuation
                 return 0j, 0.0
             # the remainder, and its shift if the ratio drifts on as it did
             return (rings[-1] * ratio / (1 - ratio),
-                    abs(rings[-1]) * float(np.ptp(ratios)) / (1 - ratio) ** 3)
+                    abs(rings[-1]) * (ratios[-1] - ratios[0])
+                    / (1 - ratio) ** 3)
         M = len(rings)
         j = np.arange(M // 2, M + 1)
         sign = (-1.0) ** j if self.alternating else 1.0

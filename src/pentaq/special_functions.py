@@ -157,11 +157,15 @@ def _head_series(x, q: complex, a_max: float = 1.0):
     real and 1 - q^k is formed without cancellation as q^k -> 1.  For
     complex q the n = max(J, N) + 1 powers come as exp(k log q), with
     1 - q^k = -expm1(k log q), where n |log q| < 2 log2(n), that is near
-    q = 1, and by doubling elsewhere, which near q = -1 is the accurate
-    choice: at q = 0.99637 + 0.00195i the first gives a relative error of
-    2e-14 where doubling gives 1.3e-12, at q = -0.99867 doubling gives
-    1.7e-12 where the first gives 7.8e-12.  An element's value depends on
-    J and q only, as long as x has two or more elements: numpy reduces the
+    q = 1, and by doubling elsewhere: at q = 0.99637 + 0.00195i the first
+    gives a relative error of 2e-14 where doubling gives 1.3e-12.  For
+    Re q < 0 the same test and route apply to p = -q, which is near 1
+    where q is near -1: q^k = (-1)^k exp(k log p), 1 - q^k =
+    -expm1(k log p) for even k and 1 + p^k, near 2, for odd k.  At
+    q = -0.99871 + 1.2e-16i, a = e^i, doubling gave (a; q)_inf and its log
+    to 2.7e-12 and this route gives 6e-14; at q = -0.99867, exp(k log q)
+    gave 7.8e-12.  An element's value depends on J and q only, as long
+    as x has two or more elements: numpy reduces the
     leading axis of a (rows, n) array row by row for n >= 2, but not for
     n = 1.  Raises ConvergenceError when J + N would exceed _MAX_FACTORS
     (L below about 4e-9, or a_max beyond |q|^{-200,000}).
@@ -179,12 +183,17 @@ def _head_series(x, q: complex, a_max: float = 1.0):
     n = max(J, n_terms) + 1
     log_q = cmath.log(q)
     # complex q: exp(k log q) carries k |log q| times the rounding of
-    # log q, doubling about 2 log2(k) roundings; take the smaller bound
-    by_exp = q.imag != 0 and n * abs(log_q) < 2 * math.log2(n)
+    # log q, doubling about 2 log2(k) roundings; take the smaller bound.
+    # Near q = -1 the same holds for p = -q, with q^k = (-1)^k p^k
+    flip = q.imag != 0 and q.real < 0
+    log_p = cmath.log(-q) if flip else log_q
+    by_exp = q.imag != 0 and n * abs(log_p) < 2 * math.log2(n)
     if q.imag == 0:
         powers = q.real ** np.arange(n)
     elif by_exp:
-        powers = np.exp(np.arange(n) * log_q)
+        powers = np.exp(np.arange(n) * log_p)
+        if flip:
+            powers[1::2] *= -1
     else:
         # by doubling, q^{m+r} = q^m q^r (r < m), which keeps 1 - q^k
         # accurate where q^k is near 1 far from q = 1 (q near -1 or
@@ -209,7 +218,10 @@ def _head_series(x, q: complex, a_max: float = 1.0):
     if q.imag == 0:
         one_minus = np.where(q_k > 0, -np.expm1(-k * L), one_minus)
     elif by_exp:
-        one_minus = -np.expm1(k * log_q)
+        # 1 - p^k without cancellation; for odd k under flip 1 + p^k ~ 2
+        one_minus = -np.expm1(k * log_p)
+        if flip:
+            one_minus[::2] = 1 - q_k[::2]
     coef = 1.0 / (k * one_minus)
     y = x * powers[J]
     series = coef[-1] * y

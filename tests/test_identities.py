@@ -1,5 +1,6 @@
 """Identity evaluators: resolved conventions pass, printed ones show deficits."""
 
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -22,6 +23,7 @@ from pentaq.identities import (
     eval_beta_rhs,
     eval_gamma_lhs,
     eval_gamma_rhs,
+    eval_index_lhs,
     eval_index_rhs,
     gamma_reflection_factor,
     limit_study_omega,
@@ -43,6 +45,7 @@ from pentaq.kernels import (
     sample_index,
 )
 from pentaq.integrators import (
+    _MAX_RINGS,
     DEFAULT_POLICY,
     TruncationPolicy,
     integrate_real_line,
@@ -334,13 +337,13 @@ class TestIndex:
         assert [shape for label, shape in qpoch_calls
                 if label == "integrand"] == [(12,) + n for n in levels]
         assert [shape for label, shape in qpoch_calls
-                if label == "prefactor"] == [(6,)] * 3   # m = -1, 0, 1
+                if label == "prefactor"] == [(6,)] * 2   # m = 0, 1
         assert [shape for label, shape in qpoch_calls
                 if label == "NINE_FACTOR"] == [(18,)]
         assert len(kernel_calls) == 2
         assert [shape for label, shape in qpoch_calls
                 if label == "b_idx"] == [(6,)] * 2
-        assert len(labels) == len(levels) + 3 + 1 + 2
+        assert len(labels) == len(levels) + 2 + 1 + 2
 
     @pytest.mark.parametrize("signed", [True, False],
                              ids=["resolved", "printed"])
@@ -426,7 +429,7 @@ class TestGamma:
                     1e-12 * np.max(np.abs(want)), (p, m)
 
     def test_log_gamma_only_in_direct_terms(self, monkeypatch):
-        # only the terms |m| <= 1 call log_gamma, one (12, n) array per
+        # only the terms m = 0, 1 call log_gamma, one (12, n) array per
         # level on the u <= 0 half of its nodes (33, then 16 * 2**j); each
         # of their levels is evaluated once, whichever term needs it first
         import pentaq.identities as identities
@@ -450,7 +453,7 @@ class TestGamma:
                             counting_term)
         monkeypatch.setattr(identities, "log_gamma", counting_log_gamma)
         eval_gamma_lhs(GAMMA_POINT)
-        assert set(direct_levels) == {-1, 0, 1}
+        assert set(direct_levels) == {0, 1}
         for sizes in direct_levels.values():
             assert sizes == [33] + [16 * 2**j for j in range(1, len(sizes))]
         assert sorted(calls) == sorted((12, n) for sizes in
@@ -516,6 +519,60 @@ class TestGamma:
         closed = (sgamma(1 / 3) / sgamma(2 / 3)) ** 9
         assert rep.rhs == pytest.approx(closed, rel=1e-12)
         assert rep.passed
+
+
+def _counting(step, calls):
+    """``step`` recording the array of m of each call in ``calls``."""
+    def counted(ms, nodes):
+        calls.append(ms)
+        return step(ms, nodes)
+    return counted
+
+
+class TestTermGrid:
+    # the parity chains that both sum-integrals build their m-terms from
+    @pytest.mark.parametrize("make_step, eval_lhs, point", [
+        ("_gamma_step", eval_gamma_lhs, GAMMA_POINT),
+        ("_index_step", eval_index_lhs, INDEX_POINT),
+    ], ids=["gamma", "index"])
+    def test_few_step_calls_per_lhs(self, monkeypatch, make_step, eval_lhs,
+                                    point):
+        # each chain extension is one step call on all the terms it fills;
+        # measured 11 calls (99 rows) on both LHS, where one call per term
+        # and level made 45 (gamma) and 57 (index)
+        import pentaq.identities as identities
+
+        build, calls = getattr(identities, make_step), []
+        monkeypatch.setattr(identities, make_step,
+                            lambda p: _counting(build(p), calls))
+        eval_lhs(point)
+        assert 0 < len(calls) <= 16
+
+    @pytest.mark.parametrize("term_integrand, make_step, point, levels", [
+        (_gamma_term_integrand, _gamma_step, GAMMA_POINT, _line_levels),
+        # the point of test_grid_terms_finite_at_large_m
+        (_index_term_integrand, _index_step,
+         IndexParams((0.1, 0.2, 0.2), (0.15, 0.15, 0.2), (1, 0, -1),
+                     (0, 1, -1), 0.85), _circle_levels),
+    ], ids=["gamma", "index"])
+    def test_chains_reach_far_in_one_call(self, term_integrand, make_step,
+                                          point, levels):
+        # one step call per chain reaches m = +-200 or +-201 and the 8
+        # look-ahead rows beyond, with no RuntimeWarning and finite values;
+        # a chain stops at |m| = _MAX_RINGS, the farthest ring of the m-sum
+        calls = []
+        grid = _TermGrid(partial(term_integrand, point, signed=True),
+                         _counting(make_step(point), calls))
+        nodes = levels(1)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for m in (200, -200, 201, -201):
+                assert np.all(np.isfinite(grid.integrand(m)(nodes))), m
+            for m in range(-217, 218):   # the look-ahead rows
+                assert np.all(np.isfinite(grid.integrand(m)(nodes))), m
+            assert len(calls) == 4
+            grid.integrand(_MAX_RINGS - 10)(nodes)
+        assert calls[-1][-1] == _MAX_RINGS - 2   # step to term _MAX_RINGS
 
 
 class TestEquivalence:

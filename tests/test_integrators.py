@@ -210,7 +210,46 @@ class TestConjugateSymmetric:
         assert res.value == pytest.approx((1 + 2j) * expected, rel=1e-13)
 
 
+def _numpy_geometric_remainder(rings, alternating):
+    """The geometric Tail.remainder as a numpy expression: the reference
+    for the plain-float version."""
+    mags = np.abs(np.array(rings[-6:], dtype=complex))
+    ratios = mags[1:] / np.maximum(mags[:-1], 1e-300)
+    rho = float(np.median(ratios))
+    ratio = -rho if alternating else rho
+    if ratio >= 1:
+        return 0j, 0.0
+    return (rings[-1] * ratio / (1 - ratio),
+            abs(rings[-1]) * float(np.ptp(ratios)) / (1 - ratio) ** 3)
+
+
 class TestBilateralSum:
+    @pytest.mark.parametrize("alternating", [False, True],
+                             ids=["plain", "alternating"])
+    def test_geometric_remainder_matches_numpy(self, alternating):
+        # bit for bit, on random decaying rings, rings holding an exact
+        # zero (the 1e-300 guard, before and as the last ring), rings whose
+        # ratio drifts upward, and rings that grow (no continuation)
+        rng = np.random.default_rng(17)
+        cases = []
+        for _ in range(300):
+            n = int(rng.integers(8, 40))
+            rho = rng.uniform(0.02, 0.999)
+            cases.append(rho ** np.arange(n) * (rng.normal(size=n)
+                                                + 1j * rng.normal(size=n)))
+        decaying = 0.5 ** np.arange(12) * (1 + 0.5j)
+        for k in (-1, -3):
+            zeroed = decaying.copy()
+            zeroed[k] = 0
+            cases.append(zeroed)
+        cases.append(np.cumprod(np.linspace(0.2, 0.95, 12)) * (1 - 2j))
+        cases.append(1.1 ** np.arange(12) + 0j)
+        tail = Tail(alternating=alternating)
+        for rings in cases:
+            rings = [complex(r) for r in rings]
+            assert tail.remainder(rings) == \
+                _numpy_geometric_remainder(rings, alternating)
+
     def test_two_sided_geometric(self):
         res = sum_over_integers(lambda m: 2.0 ** (-abs(m)))
         assert res.value == pytest.approx(3.0, rel=1e-12)

@@ -347,6 +347,19 @@ class TestQPochhammer:
         assert_log_qpoch_matches_oracle(10**log10_abs * cmath.exp(1j * phase),
                                         q)
 
+    @pytest.mark.parametrize("q", [
+        -0.9987136030550631 + 1.2230714172463032e-16j,
+        -0.9986664785678366 + 1.22301370639386e-16j,
+        -0.999 * cmath.exp(1e-3j),
+        -0.95 * cmath.exp(-0.2j),
+    ])
+    @pytest.mark.parametrize("phase", [1.0, -2.5])
+    def test_log_near_minus_one(self, q, phase):
+        # complex q next to -1 takes its powers as (-1)^k exp(k log(-q));
+        # by doubling, the first q missed the bound (2.7e-12 against
+        # 2.6e-12 at phase 1), a case random search of the test above found
+        assert_log_qpoch_matches_oracle(cmath.exp(1j * phase), q)
+
     @given(NOMES_TO_UNIT, st.floats(1.0, 12.0), PHASES)
     @settings(max_examples=40, deadline=None)
     def test_log_split_large_modulus(self, q, log10_abs, phase):
