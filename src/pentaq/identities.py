@@ -210,32 +210,6 @@ def _make_report(identity_id: IdentityId, parameters: dict, lhs: complex,
     )
 
 
-def _sum_of_integrals(integrate_term, tail: Tail, policy: TruncationPolicy,
-                      ) -> QuadratureResult:
-    """Sum over integers m of the integrals ``integrate_term(m)``.
-
-    The result is the outer sum's, except that it counts the evaluations of
-    all inner integrals, adds their error estimates to its own, and is
-    converged only if every inner integral converged too.  The inner
-    integrals cover their whole contour, so the tail estimate is the outer
-    sum's alone.
-    """
-    evaluations, inner_error, inner_converged = 0, 0.0, True
-
-    def term(m_sum: int) -> complex:
-        nonlocal evaluations, inner_error, inner_converged
-        res = integrate_term(m_sum)
-        evaluations += res.evaluations
-        inner_error += res.abs_error_estimate
-        inner_converged = inner_converged and res.converged
-        return res.value
-
-    outer = sum_over_integers(term, tail, policy)
-    return replace(outer, evaluations=evaluations,
-                   abs_error_estimate=outer.abs_error_estimate + inner_error,
-                   converged=outer.converged and inner_converged)
-
-
 # steps a chain runs past the term that extends it: one step call per level
 # covers the next 8 terms of that direction and parity
 _LOOK_AHEAD = 8
@@ -285,6 +259,31 @@ class _TermGrid:
 
         return f
 
+    def sum_of_integrals(self, integrate, tail: Tail,
+                         policy: TruncationPolicy) -> QuadratureResult:
+        """Sum over integers m of the inner integrals
+        ``integrate(self.integrand(m))``.
+
+        The result is the outer sum's, except that it counts the
+        evaluations of the inner integrals, adds their error estimates to
+        its own, and is converged only if they all converged too.  The
+        inner integrals cover their whole contour, so the tail estimate is
+        the outer sum's alone.
+        """
+        inner: list[QuadratureResult] = []
+
+        def term(m_sum: int) -> complex:
+            inner.append(integrate(self.integrand(m_sum)))
+            return inner[-1].value
+
+        outer = sum_over_integers(term, tail, policy)
+        return replace(
+            outer, evaluations=sum(res.evaluations for res in inner),
+            abs_error_estimate=outer.abs_error_estimate + sum(
+                res.abs_error_estimate for res in inner),
+            converged=outer.converged and all(res.converged
+                                              for res in inner))
+
     def _term(self, m_sum: int, level: int) -> np.ndarray:
         if (m_sum, level) not in self._values:
             self._extend(m_sum, level)
@@ -331,11 +330,11 @@ def verify_operator_pentagon(max_degree: int, q) -> VerificationReport:
     zero in rational arithmetic.
     """
     started = time.perf_counter()
-    rep = check_operator_pentagon(max_degree, q)
-    residual = float(rep.max_residual)
+    q, max_residual = check_operator_pentagon(max_degree, q)
+    residual = float(max_residual)
     return VerificationReport(
         identity_id=IdentityId.OPERATOR,
-        parameters={"identity": "operator", "q": str(rep.q),
+        parameters={"identity": "operator", "q": str(q),
                     "max_degree": max_degree},
         lhs=complex(residual),
         rhs=0j,
@@ -555,9 +554,8 @@ def eval_index_lhs(p: IndexParams, policy: TruncationPolicy = DEFAULT_POLICY,
     signed = _check_convention(convention)
     grid = _TermGrid(partial(_index_term_integrand, p, signed=signed),
                      _index_step(p))
-    return _sum_of_integrals(
-        lambda m_sum: integrate_unit_circle(grid.integrand(m_sum), policy,
-                                            conjugate_symmetric=True),
+    return grid.sum_of_integrals(
+        lambda f: integrate_unit_circle(f, policy, conjugate_symmetric=True),
         Tail(alternating=not signed), policy)
 
 
@@ -734,16 +732,11 @@ def eval_gamma_lhs(p: GammaParams, policy: TruncationPolicy = DEFAULT_POLICY,
     signed = _check_convention(convention)
     grid = _TermGrid(partial(_gamma_term_integrand, p, signed=signed),
                      _gamma_step(p))
-
-    def integrate_term(m_sum: int) -> QuadratureResult:
-        f = grid.integrand(m_sum)
-        return integrate_real_line(
+    return grid.sum_of_integrals(
+        lambda f: integrate_real_line(
             lambda t: _GAMMA_SCALE * f(_GAMMA_SCALE * t), policy,
-            conjugate_symmetric=True)
-
-    return _sum_of_integrals(
-        integrate_term, Tail(power=3, leading=4.0, alternating=not signed),
-        policy)
+            conjugate_symmetric=True),
+        Tail(power=3, leading=4.0, alternating=not signed), policy)
 
 
 def eval_gamma_rhs(p: GammaParams, form: str = "TWO_B") -> complex:

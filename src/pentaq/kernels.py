@@ -27,7 +27,6 @@ __all__ = [
     "b_hyp",
     "b_idx",
     "b_gamma_disc",
-    "log_b_gamma_disc",
     "b_beta",
     "HyperbolicParams",
     "IndexParams",
@@ -80,17 +79,6 @@ def b_idx(a, n: int, b, m: int, q) -> complex:
     return complex(val * a ** (m / 2) * b ** (n / 2))
 
 
-def log_b_gamma_disc(a, n: int, b, m: int) -> complex:
-    """log of the discrete gamma kernel; array-capable in a, b."""
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex),
-                               np.asarray(b, dtype=complex))
-    k, l, kl = n / 2, m / 2, (n + m) / 2
-    # numerator and denominator of the three ratios, in one call
-    lg = log_gamma(np.array([a + k, 1 - a + k, b + l, 1 - b + l,
-                             1 - a - b + kl, a + b + kl]))
-    return lg[0] - lg[1] + lg[2] - lg[3] + lg[4] - lg[5]
-
-
 def b_gamma_disc(a, n: int, b, m: int):
     """Discrete gamma kernel
 
@@ -98,23 +86,17 @@ def b_gamma_disc(a, n: int, b, m: int):
         -----------------------------------------------
         Gamma(1-a+n/2) Gamma(1-b+m/2) Gamma(a+b+(n+m)/2)
 
-    Raises PoleError naming the offending factor when any gamma argument is
-    a nonpositive integer.
+    Raises PoleError, with the offending argument, when any gamma argument
+    is a nonpositive integer.
     """
-    labels = {
-        "Gamma(a+n/2)": a + n / 2,
-        "Gamma(1-a+n/2)": 1 - a + n / 2,
-        "Gamma(b+m/2)": b + m / 2,
-        "Gamma(1-b+m/2)": 1 - b + m / 2,
-        "Gamma(1-a-b+(n+m)/2)": 1 - a - b + (n + m) / 2,
-        "Gamma(a+b+(n+m)/2)": a + b + (n + m) / 2,
-    }
-    for name, arg in labels.items():
-        z = complex(arg)
-        if abs(z.imag) < 1e-12 and z.real <= 1e-12 and \
-                abs(z.real - round(z.real)) < 1e-12:
-            raise PoleError(f"{name} has nonpositive-integer argument {z}")
-    out = complex(np.exp(log_b_gamma_disc(a, n, b, m)))
+    k, l, kl = n / 2, m / 2, (n + m) / 2
+    try:
+        # numerators and denominators of the three ratios, in one call
+        lg = log_gamma(np.array([a + k, 1 - a + k, b + l, 1 - b + l,
+                                 1 - a - b + kl, a + b + kl], dtype=complex))
+    except PoleError as exc:
+        raise PoleError(f"Gamma factor of b_gamma_disc: {exc}") from exc
+    out = complex(np.exp(lg[0] - lg[1] + lg[2] - lg[3] + lg[4] - lg[5]))
     return out.real if abs(out.imag) < 1e-12 * max(1.0, abs(out.real)) else out
 
 
@@ -136,6 +118,41 @@ def _check_zero_sum(values, label: str) -> tuple:
     return vals
 
 
+def _positive_half_triple(values, label: str) -> tuple:
+    """``values`` as three positive floats summing to 1/2, the balancing of
+    the index exponents and of the gamma parameters."""
+    vals = tuple(float(v) for v in values)
+    if len(vals) != 3:
+        raise ValueError(f"{label} must have exactly 3 entries")
+    if abs(sum(vals) - 0.5) > 1e-12:
+        raise ValueError(f"balancing violated: sum({label}) = {sum(vals)}")
+    if min(vals) <= 0:
+        raise ValueError(f"{label} must be positive, got {vals}")
+    return vals
+
+
+def _separated_pairs(a, b, total) -> tuple:
+    """``a`` and ``b`` as two complex triples with sum(a) + sum(b) = total
+    and every pair separating the poles, 0 < Re((a_i + b_j) / total) < 1:
+    the balancing of the hyperbolic (total w1 + w2) and beta (total 1)
+    identities."""
+    a = tuple(complex(v) for v in a)
+    b = tuple(complex(v) for v in b)
+    if len(a) != 3 or len(b) != 3:
+        raise ValueError("need exactly 3 a's and 3 b's")
+    got = sum(a) + sum(b)
+    if abs(got - total) > 1e-12 * max(1.0, abs(total)):
+        raise ValueError(
+            f"balancing violated: sum(a)+sum(b) = {got}, expected {total}")
+    for ai in a:
+        for bj in b:
+            r = ((ai + bj) / total).real
+            if not 0 < r < 1:
+                raise ValueError(
+                    f"pole separation violated: Re((a+b)/{total}) = {r}")
+    return a, b
+
+
 @dataclass(frozen=True)
 class HyperbolicParams:
     """Parameters of the hyperbolic identity: sum_i (a_i + b_i) = w1 + w2."""
@@ -145,23 +162,7 @@ class HyperbolicParams:
     omega: ModularPair
 
     def __post_init__(self) -> None:
-        a = tuple(complex(v) for v in self.a)
-        b = tuple(complex(v) for v in self.b)
-        if len(a) != 3 or len(b) != 3:
-            raise ValueError("need exactly 3 a's and 3 b's")
-        total = sum(a) + sum(b)
-        ws = self.omega.omega_sum
-        if abs(total - ws) > 1e-12 * max(1.0, abs(ws)):
-            raise ValueError(
-                f"balancing violated: sum(a)+sum(b) = {total}, expected {ws}"
-            )
-        for ai in a:
-            for bj in b:
-                r = ((ai + bj) / ws).real
-                if not 0 < r < 1:
-                    raise ValueError(
-                        f"pole separation violated: Re((a+b)/(w1+w2)) = {r}"
-                    )
+        a, b = _separated_pairs(self.a, self.b, self.omega.omega_sum)
         # along u = i t the integrand decays like exp(-2 pi decay |t|)
         # (eval_hyperbolic_lhs); without decay the integral diverges
         decay = (1 / self.omega.omega1 + 1 / self.omega.omega2).real
@@ -215,18 +216,8 @@ class IndexParams:
     q: float
 
     def __post_init__(self) -> None:
-        s = tuple(float(v) for v in self.s)
-        t = tuple(float(v) for v in self.t)
-        if len(s) != 3 or len(t) != 3:
-            raise ValueError("need exactly 3 exponents per family")
-        for label, e in (("s", s), ("t", t)):
-            if abs(sum(e) - 0.5) > 1e-12:
-                raise ValueError(f"balancing violated: sum({label}) = {sum(e)}")
-            if min(e) <= 0:
-                raise ValueError(
-                    f"{label} exponents must be positive for the unit-circle "
-                    f"contour, got {e}"
-                )
+        s = _positive_half_triple(self.s, "s")
+        t = _positive_half_triple(self.t, "t")
         n = _check_zero_sum(self.n, "n")
         m = _check_zero_sum(self.m, "m")
         qv = float(self.q)
@@ -280,22 +271,10 @@ class GammaParams:
     m: tuple
 
     def __post_init__(self) -> None:
-        alpha = tuple(float(v) for v in self.alpha)
-        beta = tuple(float(v) for v in self.beta)
-        if len(alpha) != 3 or len(beta) != 3:
-            raise ValueError("need exactly 3 parameters per family")
-        for label, e in (("alpha", alpha), ("beta", beta)):
-            if abs(sum(e) - 0.5) > 1e-12:
-                raise ValueError(f"balancing violated: sum({label}) = {sum(e)}")
+        alpha = _positive_half_triple(self.alpha, "alpha")
+        beta = _positive_half_triple(self.beta, "beta")
         n = _check_zero_sum(self.n, "n")
         m = _check_zero_sum(self.m, "m")
-        for label, e in (("alpha", alpha), ("beta", beta)):
-            for v in e:
-                if v <= 0:
-                    raise ValueError(
-                        f"{label} components must be positive for absolute "
-                        f"convergence, got {v}"
-                    )
         for i in range(3):
             for j in range(3):
                 arg = alpha[i] + beta[j] + (n[i] + m[j]) / 2
@@ -340,19 +319,7 @@ class BetaParams:
     b: tuple
 
     def __post_init__(self) -> None:
-        a = tuple(complex(v) for v in self.a)
-        b = tuple(complex(v) for v in self.b)
-        if len(a) != 3 or len(b) != 3:
-            raise ValueError("need exactly 3 a's and 3 b's")
-        total = sum(a) + sum(b)
-        if abs(total - 1) > 1e-12:
-            raise ValueError(f"balancing violated: sum(a)+sum(b) = {total}")
-        for ai in a:
-            for bj in b:
-                if not 0 < (ai + bj).real < 1:
-                    raise ValueError(
-                        f"pole separation violated: Re(a+b) = {(ai + bj).real}"
-                    )
+        a, b = _separated_pairs(self.a, self.b, 1)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -408,13 +375,13 @@ def sample_gamma(rng: np.random.Generator, with_spins: bool = True) -> GammaPara
     return GammaParams(alpha, beta, n, m)
 
 
-def sample_index(rng: np.random.Generator, with_spins: bool = True) -> IndexParams:
-    """A balanced index parameter point with q in (0.2, 0.5)."""
+def sample_index(rng: np.random.Generator) -> IndexParams:
+    """A balanced index parameter point with q in (0.2, 0.5) and spins."""
     q = float(rng.uniform(*_INDEX_Q_RANGE))
     s = _balanced_triple(rng, 0.05, 0.4, 0.5)
     t = _balanced_triple(rng, 0.05, 0.4, 0.5)
-    n = _zero_sum_spins(rng) if with_spins else (0, 0, 0)
-    m = _zero_sum_spins(rng) if with_spins else (0, 0, 0)
+    n = _zero_sum_spins(rng)
+    m = _zero_sum_spins(rng)
     return IndexParams(s, t, n, m, q)
 
 

@@ -20,7 +20,6 @@ __all__ = [
     "quantum_dilog_series",
     "operator_pentagon_sides",
     "check_operator_pentagon",
-    "OperatorPentagonReport",
 ]
 
 
@@ -183,25 +182,11 @@ def operator_pentagon_sides(max_degree: int, q) -> tuple[
             series_multiply(series_multiply(lx, lxy), ly))
 
 
-@dataclass(frozen=True)
-class OperatorPentagonReport:
-    """Outcome of the exact operator pentagon check at one (q, degree)."""
-
-    q: object
-    max_degree: int
-    max_residual: object
-    residual_table: tuple
-
-    @property
-    def exact_zero(self) -> bool:
-        return self.max_residual == 0
-
-
-def check_operator_pentagon(max_degree: int, q) -> OperatorPentagonReport:
+def check_operator_pentagon(max_degree: int, q) -> tuple:
     """Exact check of l(y) l(x) = l(x) l(-xy) l(y) up to total degree.
 
-    Returns the maximum residual coefficient magnitude (expected exactly
-    zero when q is rational) together with the full residual table.
+    Returns the coerced q and the maximum residual coefficient magnitude,
+    which is exactly zero when q is rational.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
@@ -209,10 +194,4 @@ def check_operator_pentagon(max_degree: int, q) -> OperatorPentagonReport:
     if isinstance(q, Fraction) and not 0 < q < 1:
         raise ValueError(f"need 0 < q < 1, got {q}")
     lhs, rhs = operator_pentagon_sides(max_degree, q)
-    diff = lhs - rhs
-    return OperatorPentagonReport(
-        q=q,
-        max_degree=max_degree,
-        max_residual=diff.max_abs_coefficient(),
-        residual_table=tuple(diff.table()),
-    )
+    return q, (lhs - rhs).max_abs_coefficient()

@@ -201,6 +201,16 @@ class TestExpandOperator:
         res = runner.invoke(main, ["expand-operator", "--q", "zebra"])
         assert res.exit_code != 0
 
+    def test_negative_degree_usage_error(self, runner):
+        res = runner.invoke(main, ["expand-operator", "--max-degree", "-1"])
+        assert res.exit_code == 2
+        assert "--max-degree" in res.output
+
+    def test_degree_zero_is_valid(self, runner):
+        res = runner.invoke(main, ["expand-operator", "--max-degree", "0"])
+        assert res.exit_code == 0, res.output
+        assert "# max residual: 0" in res.output
+
 
 class TestSelfcheck:
     def test_bundled_vectors_pass(self, runner):
@@ -217,3 +227,32 @@ class TestSelfcheck:
         res = runner.invoke(main, ["selfcheck", "--vectors", str(f)])
         assert res.exit_code != 0
         assert "1" in res.output
+
+    @pytest.mark.parametrize("vector", [
+        '{"function": "no_such_function", "input": {"z": 2.0}',
+        '{"function": "log_gamma", "input": {"w": 2.0}',
+    ], ids=["unknown-function", "missing-input"])
+    def test_malformed_vector_reports_line(self, runner, tmp_path, vector):
+        f = tmp_path / "vec.jsonl"
+        f.write_text(vector + ', "expected": [0.0, 0.0], "tol": 1e-14}\n')
+        res = runner.invoke(main, ["selfcheck", "--vectors", str(f)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert f"{f}:1: malformed golden vector" in res.output
+
+    def test_raising_vector_fails_and_run_goes_on(self, runner, tmp_path):
+        # log_gamma has a pole at z = 0; the next vector is still checked
+        f = tmp_path / "vec.jsonl"
+        f.write_text(
+            '{"function": "log_gamma", "input": {"z": 0.0}, '
+            '"expected": [0.0, 0.0], "tol": 1e-14}\n'
+            '{"function": "log_gamma", "input": {"z": 1.0}, '
+            '"expected": [0.0, 0.0], "tol": 1e-14}\n')
+        res = runner.invoke(main, ["selfcheck", "--vectors", str(f)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        lines = res.output.splitlines()
+        assert lines[0].startswith("FAIL  log_gamma")
+        assert "PoleError" in lines[0]
+        assert lines[1].startswith("ok  log_gamma")
+        assert lines[2] == "# 1/2 golden vectors passed"

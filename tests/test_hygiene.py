@@ -1,6 +1,7 @@
 """Source hygiene: every name a pentaq module imports or defines as private
-is used there, every function the benchmark's tracing shims rebind still
-exists, and the truncation policy stays with the engines."""
+is used there, every name it exports is bound there, every function the
+benchmark's tracing shims rebind still exists, and the truncation policy
+stays with the engines."""
 
 import ast
 import importlib.util
@@ -12,6 +13,17 @@ from pentaq import identities, integrators, kernels, special_functions
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "pentaq"
+
+
+def exported(tree: ast.Module) -> set[str]:
+    """The names a module lists in ``__all__``."""
+    names = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            names |= set(ast.literal_eval(node.value))
+    return names
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -27,11 +39,7 @@ def unused_imports(tree: ast.Module) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in node.targets)):
-            used |= set(ast.literal_eval(node.value))
+    used |= exported(tree)
     return sorted(f"{name} (line {line})" for name, line in imported.items()
                   if name not in used)
 
@@ -89,6 +97,39 @@ def test_checker_flags_an_unused_private_name():
                      "class _C:\n    _B = 3\n")
     assert unused_private_names(tree) == ["_B (line 3)", "_C (line 7)",
                                           "_f (line 5)", "_math (line 1)"]
+
+
+def undefined_exports(tree: ast.Module) -> list[str]:
+    """Names in ``__all__`` that no module-level definition, assignment or
+    import binds."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            bound |= {name.id for target in targets
+                      for name in ast.walk(target)
+                      if isinstance(name, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name for alias in node.names}
+    return sorted(exported(tree) - bound)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_export_is_defined(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert undefined_exports(tree) == []
+
+
+def test_checker_flags_an_undefined_export():
+    tree = ast.parse("from os import sep\n_A = 1\n"
+                     "def f():\n    pass\n"
+                     "__all__ = ['sep', '_A', 'f', 'g', 'C']\n")
+    assert undefined_exports(tree) == ["C", "g"]
 
 
 def test_traced_functions_exist():

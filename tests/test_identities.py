@@ -45,6 +45,7 @@ from pentaq.kernels import (
     sample_index,
 )
 from pentaq.integrators import (
+    _FIRST_NODES,
     _MAX_RINGS,
     DEFAULT_POLICY,
     TruncationPolicy,
@@ -430,8 +431,9 @@ class TestGamma:
 
     def test_log_gamma_only_in_direct_terms(self, monkeypatch):
         # only the terms m = 0, 1 call log_gamma, one (12, n) array per
-        # level on the u <= 0 half of its nodes (33, then 16 * 2**j); each
-        # of their levels is evaluated once, whichever term needs it first
+        # level on the u <= 0 half of its nodes (N/2 + 1, then N/4 * 2**j
+        # for N first nodes); each of their levels is evaluated once,
+        # whichever term needs it first
         import pentaq.identities as identities
 
         direct_levels, calls = {}, []
@@ -454,8 +456,10 @@ class TestGamma:
         monkeypatch.setattr(identities, "log_gamma", counting_log_gamma)
         eval_gamma_lhs(GAMMA_POINT)
         assert set(direct_levels) == {0, 1}
+        N = _FIRST_NODES
         for sizes in direct_levels.values():
-            assert sizes == [33] + [16 * 2**j for j in range(1, len(sizes))]
+            assert sizes == [N // 2 + 1] + [N // 4 * 2**j
+                                            for j in range(1, len(sizes))]
         assert sorted(calls) == sorted((12, n) for sizes in
                                        direct_levels.values() for n in sizes)
 

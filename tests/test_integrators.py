@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pentaq.integrators import (
+    _FIRST_NODES,
     QuadratureResult,
     Tail,
     TruncationPolicy,
@@ -87,16 +88,17 @@ class TestRealLine:
 
         res = integrate_real_line(f, u_max=u_max)
         r = res.refinements_used
-        assert res.evaluations == 64 * 2**r
-        # call j passes level j's new nodes, 64, 64, 128, 256, ..., and the
+        N = _FIRST_NODES
+        assert res.evaluations == N * 2**r
+        # call j passes level j's new nodes, N, N, 2N, 4N, ..., and the
         # integrand sees no other value
-        assert [lv.size for lv in seen] == [64] + [32 * 2**j
-                                                   for j in range(1, r + 1)]
+        assert [lv.size for lv in seen] == [N] + [N // 2 * 2**j
+                                                  for j in range(1, r + 1)]
         nodes = np.concatenate(seen)
         assert nodes.size == res.evaluations
         assert np.all(np.isfinite(nodes)) and np.all(np.abs(nodes) <= u_max)
         assert np.unique(nodes).size == nodes.size
-        assert seen[0][32] == 0
+        assert seen[0][N // 2] == 0
         assert seen[0][0] == np.tan(-math.atan(u_max)) == nodes.min()
         assert res.value == pytest.approx(math.sqrt(math.pi), rel=0,
                                           abs=1e-13)
@@ -143,7 +145,7 @@ class TestUnitCircle:
             return 1 / (1 - a * z)
 
         res = integrate_unit_circle(f)
-        n = 64 * 2**res.refinements_used
+        n = _FIRST_NODES * 2**res.refinements_used
         assert res.evaluations == n
         roots = np.exp(2j * np.pi * np.arange(n) / n)
         nodes = np.concatenate(seen)
@@ -183,15 +185,17 @@ class TestConjugateSymmetric:
         assert half.value == pytest.approx(expected, rel=1e-13)
         assert half.refinements_used == full.refinements_used
         r = half.refinements_used
-        assert half.evaluations == full.evaluations == 64 * 2**r
+        N = _FIRST_NODES
+        assert half.evaluations == full.evaluations == N * 2**r
         sizes = [lv.size for lv in half_seen]
-        assert sizes == [33] + [16 * 2**j for j in range(1, r + 1)]
+        assert sizes == [N // 2 + 1] + [N // 4 * 2**j for j in range(1, r + 1)]
         nodes = np.concatenate(half_seen)
         if engine is integrate_real_line:
             assert np.all(nodes <= 0) and nodes.max() == 0
         else:
             assert np.all(nodes.imag >= 0)
-            assert nodes[0] == 1 and nodes[32] == pytest.approx(-1, abs=1e-15)
+            assert nodes[0] == 1
+            assert nodes[N // 2] == pytest.approx(-1, abs=1e-15)
 
     def test_non_symmetric_integrand_gets_every_node(self, engine):
         # (1 + 2i) f is not conjugate-symmetric; without the keyword the

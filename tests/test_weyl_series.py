@@ -94,8 +94,8 @@ class TestQuantumDilogSeries:
 
 class TestOperatorPentagon:
     def test_degree_one_by_hand(self):
-        rep = check_operator_pentagon(1, Q)
-        assert rep.exact_zero
+        _, residual = check_operator_pentagon(1, Q)
+        assert residual == 0
 
     def test_degree_two_xy_coefficient(self):
         # both sides carry q/(1-q)^2 on the xy monomial
@@ -110,9 +110,8 @@ class TestOperatorPentagon:
     @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(1, 3),
                                    Fraction(2, 5)])
     def test_exact_zero_to_degree_ten(self, q):
-        rep = check_operator_pentagon(10, q)
-        assert rep.exact_zero
-        assert rep.residual_table == ()
+        _, residual = check_operator_pentagon(10, q)
+        assert residual == 0
 
     def test_y_zero_specialization_reduces_to_lx(self):
         lx = quantum_dilog_series(Generator.X, 8, Q)
