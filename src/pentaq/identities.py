@@ -420,9 +420,12 @@ def eval_hyperbolic_lhs(p: HyperbolicParams,
 
 
 def eval_hyperbolic_rhs(p: HyperbolicParams) -> complex:
-    """Two-kernel product side of the hyperbolic identity."""
-    return (b_hyp(p.a[0] + p.b[1], p.a[2] + p.b[0], p.omega)
-            * b_hyp(p.a[1] + p.b[0], p.a[2] + p.b[1], p.omega))
+    """Two-kernel product side of the hyperbolic identity: both kernels,
+    six hyperbolic gammas, in one b_hyp call."""
+    a, b = p.a, p.b
+    k1, k2 = b_hyp(np.array([a[0] + b[1], a[1] + b[0]]),
+                   np.array([a[2] + b[0], a[2] + b[1]]), p.omega)
+    return complex(k1 * k2)
 
 
 def verify_pentagon_hyperbolic(p: HyperbolicParams,

@@ -281,7 +281,12 @@ class Tail:
 
     def remainder(self, rings: list) -> tuple[complex, float]:
         """Predicted sum of the rings after ``rings[-1]``, and the error the
-        geometric model owes to the drift of the ratio (0 for power laws)."""
+        geometric model owes to the drift of the ratio (0 for power laws).
+
+        A power law's remainder is linear in the excess of rings M/2..M over
+        the leading term; the map, least-squares fit and Hurwitz zeta sums
+        together, depends on (power, alternating, M) alone and is cached
+        (:func:`_power_law_fit`), so that a ring costs one dot product."""
         if self.power is None:
             # numpy's |r| (Python's abs can differ in the last bit), then
             # plain floats: np.median and np.ptp cost more than the sort
@@ -300,13 +305,8 @@ class Tail:
         sign = (-1.0) ** j if self.alternating else 1.0
         excess = (sign * np.array(rings[M // 2 - 1:], dtype=complex)
                   - self.leading * j ** -float(self.power))
-        powers = self.power + 2 * np.arange(5)
-        # columns (M/j)^e, in [1, 2^e], keep the fit well conditioned
-        scaled = np.linalg.lstsq((M / j)[:, None] ** powers[1:], excess,
-                                 rcond=None)[0]
-        weights = np.concatenate(([self.leading],
-                                  scaled * float(M) ** powers[1:]))
-        return complex(weights @ self._power_sums(powers, M)), 0.0
+        head, projection = _power_law_fit(self.power, self.alternating, M)
+        return complex(self.leading * head + projection @ excess), 0.0
 
     def _power_sums(self, s, M: int):
         """sum_{m > M} m^{-s}, or sum_{m > M} (-1)^m m^{-s} if alternating."""
@@ -322,6 +322,26 @@ class Tail:
         if len(estimates) < pairs[-1][1]:
             return math.inf
         return max(abs(estimates[-a] - estimates[-b]) for a, b in pairs)
+
+
+@functools.cache
+def _power_law_fit(power: int, alternating: bool, M: int):
+    """The parts of the power-law remainder that do not depend on the rings:
+    the leading term's tail sum_{m > M} (+-1)^m m^{-power}, and the vector
+    that takes the excess of rings M/2..M over the leading term to the
+    tail of its fitted corrections, sum_k c_k sum_{m > M} (+-1)^m
+    m^{-power-2k}.  The c_k are the least-squares solution on the columns
+    (M/j)^e, which lie in [1, 2^e] and keep the fit well conditioned, so
+    the vector is that solution's projection (the pseudo-inverse) applied
+    to the scaled tail sums.  At most 2 x _MAX_RINGS keys per power."""
+    j = np.arange(M // 2, M + 1)
+    powers = power + 2 * np.arange(5)
+    sums = Tail(power, alternating=alternating)._power_sums(powers, M)
+    pinv = np.linalg.lstsq((M / j)[:, None] ** powers[1:],
+                           np.eye(len(j)), rcond=None)[0]
+    projection = (sums[1:] * float(M) ** powers[1:]) @ pinv
+    projection.setflags(write=False)   # one array for every caller
+    return sums[0], projection
 
 
 def sum_over_integers(term, tail: Tail = Tail(),

@@ -45,10 +45,18 @@ _INDEX_Q_RANGE = (0.2, 0.5)
 # kernels
 # ---------------------------------------------------------------------------
 
-def b_hyp(x, y, omega: ModularPair) -> complex:
-    """Hyperbolic kernel gamma2(x) gamma2(y) / gamma2(x + y), in log-space."""
-    lx, ly, lxy = log_hyperbolic_gamma(np.array([x, y, x + y]), omega)
-    return complex(np.exp(lx + ly - lxy))
+def b_hyp(x, y, omega: ModularPair):
+    """Hyperbolic kernel gamma2(x) gamma2(y) / gamma2(x + y), in log-space.
+
+    x and y may be arrays of one shape: all their kernels take one
+    log_hyperbolic_gamma call, which gives each element the value of a
+    call of its own.  Scalars give a complex.
+    """
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    lx, ly, lxy = log_hyperbolic_gamma(np.stack([x, y, x + y]), omega)
+    out = np.exp(lx + ly - lxy)
+    return complex(out) if out.ndim == 0 else out
 
 
 def b_idx(a, n: int, b, m: int, q) -> complex:

@@ -277,18 +277,27 @@ def log_qpoch_inf(a, q):
 
     with |c| < 1, |q/c| <= 1 and |q^{j+1}/c| <= |q|^j (summed over k, the
     split is the quasi-periodicity of (a; q)_inf; Faddeev and Kashaev,
-    Quantum dilogarithm, 1994).  Where j = 0 the last two arguments are
-    zero.  The monomial is closed form in log space,
-    j (log a + i pi) + j (j-1)/2 log q, and the three products go through
-    _head_series in one stacked call at its shortest head, whatever |a|
-    is.  Their blocks are combined as b_c b_{q/c} / b_{q^{j+1}/c} before
-    one log per block (finite up to |q| = 0.9999995 for a within 1e-12 of
-    a zero), and their series as +, +, -.  The head length depends on q
-    alone and the stacked call has at least three elements, so an
-    element's value does not depend on the array it comes in.  The
-    monomial's rounding error grows like j^2 |log q| ulp, the same order
-    as a sum of j principal logs.  An exact zero factor (a = q^{-k}) sends
-    the result to -inf, and (a; 0)_inf = 1 - a exactly.
+    Quantum dilogarithm, 1994).  Where j = 0 the last two products are 1
+    and are not formed: on the hyperbolic integrand about half the
+    elements have j = 0.  The monomial is closed form in log space,
+    j (log a + i pi) + j (j-1)/2 log q, with its real and imaginary parts
+    added separately, and the products go through _head_series in one
+    stacked call at its shortest head, whatever |a| is.  Their blocks are
+    combined as b_c b_{q/c} / b_{q^{j+1}/c} before one log per block
+    (finite up to |q| = 0.9999995 for a within 1e-12 of a zero), and their
+    series as +, +, -.  The block log is taken in real arithmetic
+    (_complex_log), at about a third of the cost of numpy's complex log
+    and as accurate: most block ratios lie near 1 (median |log| 7e-3 on
+    the hyperbolic numerators, 0.1 on the denominators), where its log1p
+    form keeps the relative accuracy of log|z|, which log(hypot) loses
+    (over 3 x 1,216 hyperbolic points, the median relative residual
+    5.8e-16 and the worst 1.96e-15 would become 6.0e-16 and 2.4e-15).
+    The head length depends on q alone and the stacked call has at least
+    two elements, so an element's value does not depend on the array it
+    comes in.  The monomial's rounding error grows like j^2 |log q| ulp,
+    the same order as a sum of j principal logs.  An exact zero factor
+    (a = q^{-k}) sends the result to -inf, and (a; 0)_inf = 1 - a
+    exactly.
     """
     qv = _check_nome(q)
     arr = np.asarray(a, dtype=complex)
@@ -298,25 +307,66 @@ def log_qpoch_inf(a, q):
     shape = arr.shape
     arr = arr.reshape(-1)   # scalars take the array path too
     log_q = cmath.log(qv)
-    # a = 0 gives log|a| = -inf, j = 0 and q/c = inf, which no term uses; a
-    # zero factor gives log(0) = -inf, which exponentiates to an exact zero
+    # a = 0 gives log|a| = -inf and j = -inf: nothing to split; a zero
+    # factor gives log(0) = -inf, which exponentiates to an exact zero
     with np.errstate(divide="ignore", invalid="ignore"):
         log_abs = np.log(np.abs(arr))
-        j = np.fmax(log_abs // -log_q.real + 1, 0)
+        j = np.floor(log_abs / -log_q.real) + 1
+        # only elements with factors to split (j >= 1) take the two further
+        # products and the monomial; elsewhere both products are 1
+        split = np.flatnonzero(j > 0)
+        j = j[split]
+        a_split = arr[split]
         q_j = qv**j
+        c = arr.copy()
+        c[split] = a_split * q_j
         # q/c as 1/(a q^{j-1}), exactly 1 where a q^{j-1} is
-        inv = np.where(j > 0, 1.0 / (arr * qv ** (j - 1)), 0)
-        blocks, series = _head_series(
-            np.concatenate([arr * q_j, inv, inv * q_j]), qv)
+        inv = 1.0 / (a_split * qv ** (j - 1))
+        x = np.concatenate([c, inv, inv * q_j])
+        n, m = arr.size, split.size
+        # two elements or more, so that the head is reduced row by row
+        blocks, series = _head_series(np.append(x, 0) if x.size == 1 else x,
+                                      qv)
         # (c; q) (q/c; q) / (q^{j+1}/c; q), block by block
-        out = sum(np.log(b[0] * b[1] / b[2])
-                  for b in (block.reshape(3, -1) for block in blocks))
-        s = series.reshape(3, -1)
-        # the monomial, zero where j = 0
-        arg = np.angle(arr) + np.pi
-        out = (out - (s[0] + s[1] - s[2])
-               + j * (np.fmax(log_abs, 0) + 1j * arg) + j * (j - 1) / 2 * log_q)
+        out = 0
+        for block in blocks:
+            z = block[:n]
+            z[split] = z[split] * block[n:n + m] / block[n + m:n + 2 * m]
+            out += _complex_log(z)
+        s = series[:n]
+        s[split] = s[split] + series[n:n + m] - series[n + m:n + 2 * m]
+        out -= s
+        # the monomial j (log|a| + i (arg a + pi)) + j (j-1)/2 log q, part
+        # by part; log|a| >= 0 where j >= 1
+        half = j * (j - 1) / 2
+        mono = out[split]
+        mono.real += j * log_abs[split]
+        mono.imag += j * (np.angle(a_split) + np.pi)
+        mono.real += half * log_q.real
+        mono.imag += half * log_q.imag
+        out[split] = mono
     return complex(out[0]) if shape == () else out.reshape(shape)
+
+
+def _complex_log(z):
+    """Principal log z of a complex array in real arithmetic, log|z| +
+    i arctan2(Im z, Re z), at about a third of the cost of numpy's complex
+    log.  Where |z|^2 is within 1/2 of 1, log|z| is
+    log1p((m - 1)(m + 1) + n^2) / 2 with m = max(|x|, |y|) and
+    n = min(|x|, |y|), as in CPython's cmath.log: m - 1 is exact, so a log
+    of 1e-12 keeps its relative accuracy, where log(hypot(x, y)) has an
+    absolute error of an ulp of 1.  Elsewhere log|z| is log(hypot(x, y)).
+    z = 0 gives -inf + 0j (the caller silences the warning) and nan gives
+    nan."""
+    x, y = z.real, z.imag
+    ax, ay = np.abs(x), np.abs(y)
+    m, n = np.fmax(ax, ay), np.fmin(ax, ay)
+    d = (m - 1) * (m + 1) + n * n
+    out = np.empty_like(z)
+    out.real = np.where(np.abs(d) < 0.5, 0.5 * np.log1p(d),
+                        np.log(np.hypot(x, y)))
+    out.imag = np.arctan2(y, x)
+    return out
 
 
 def qpoch_ratio_regularized(alpha, beta, q):

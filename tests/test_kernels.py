@@ -33,6 +33,25 @@ class TestKernelValues:
         assert b_hyp(x, y, omega) == pytest.approx(b_hyp(y, x, omega),
                                                    rel=1e-13)
 
+    @pytest.mark.parametrize("omega", [ModularPair(0.4 + 0.9j, 1.0),
+                                       ModularPair(0.3 + 0.7j, 1.1),
+                                       ModularPair(0.6 + 1.3j, 0.9)])
+    def test_b_hyp_array_equals_scalars(self, omega):
+        # the product side's two kernels in one call, as the hyperbolic
+        # right-hand side takes them, and a (2, 3) batch
+        p = sample_hyperbolic(np.random.default_rng(3), omega)
+        x = np.array([[p.a[0] + p.b[1], p.a[1] + p.b[0], 0.31 + 0.05j],
+                      [p.a[2] + p.b[0], 0.2 - 0.1j, p.a[0] + p.b[0]]])
+        y = np.array([[p.a[2] + p.b[0], p.a[2] + p.b[1], 0.44 - 0.08j],
+                      [p.a[1] + p.b[1], 0.3 + 0.4j, p.a[1] + p.b[2]]])
+        batch = b_hyp(x, y, omega)
+        assert batch.shape == x.shape
+        scalars = [[b_hyp(complex(xi), complex(yi), omega)
+                    for xi, yi in zip(xr, yr)] for xr, yr in zip(x, y)]
+        assert all(type(v) is complex for row in scalars for v in row)
+        assert np.array_equal(batch, np.array(scalars))
+        assert np.array_equal(b_hyp(x[0, :2], y[0, :2], omega), batch[0, :2])
+
     def test_b_idx_symmetry(self):
         q = 0.35
         a, b = q**0.2, q**0.15

@@ -26,6 +26,7 @@ from pentaq.special_functions import (
     qpoch_ratio_regularized,
     rogers_L,
 )
+from pentaq.special_functions import _complex_log
 
 mp.mp.dps = 30
 
@@ -396,6 +397,54 @@ class TestQPochhammer:
                 batch, np.array([log_qpoch_inf(row, q) for row in a]))
             assert np.array_equal(batch, np.array(
                 [[log_qpoch_inf(complex(x), q) for x in row] for row in a]))
+
+    @pytest.mark.parametrize("omega", CRITERION_3_PAIRS)
+    @pytest.mark.parametrize("side", ["denominator", "numerator"])
+    def test_log_on_hyperbolic_arguments(self, omega, side):
+        # the arguments log_hyperbolic_gamma passes, exp(2 pi i u / omega2)
+        # at q and exp(2 pi i u / omega1) q~ at q~, over |Im u| <= 32: |a|
+        # from e^-228 to e^223, up to 46 split factors at |q| from 1e-4
+        # to 0.03
+        u = hyperbolic_kernel_arguments(omega, n=9)
+        if side == "denominator":
+            a, q = np.exp(2j * np.pi * u / omega.omega2), omega.q
+        else:
+            a = np.exp(2j * np.pi * u / omega.omega1) * omega.q_dual
+            q = omega.q_dual
+        for x in a.ravel():
+            assert_log_qpoch_matches_oracle(x, q)
+
+
+class TestComplexLog:
+    """The block log of log_qpoch_inf against cmath.log."""
+
+    @staticmethod
+    def assert_matches_cmath(z):
+        got = _complex_log(np.array([z, z]))[0]
+        want = cmath.log(z)
+        eps = np.finfo(float).eps
+        assert got.real == pytest.approx(want.real, rel=4 * eps, abs=0), z
+        assert got.imag == pytest.approx(want.imag, rel=4 * eps, abs=0), z
+
+    @pytest.mark.parametrize("phase", [0.0, 0.3, math.pi / 4, 1.5,
+                                       math.pi / 2, -1.6, 3.0, math.pi])
+    @pytest.mark.parametrize("distance", [1e-12, -3e-13, 1e-15])
+    def test_relative_accuracy_near_unit_modulus(self, phase, distance):
+        # log|z| of order 1e-12 to its last bits, at every phase: with
+        # (x - 1)(x + 1) + y^2 in place of max/min of |x|, |y| the real
+        # part is off by 1e-4 relative near z = i
+        self.assert_matches_cmath((1 + distance) * cmath.exp(1j * phase))
+
+    @pytest.mark.parametrize("modulus", [0.1, 2.0**16])
+    @pytest.mark.parametrize("phase", [0.0, 2.0, -math.pi / 2])
+    def test_away_from_unit_modulus(self, modulus, phase):
+        self.assert_matches_cmath(modulus * cmath.exp(1j * phase))
+
+    def test_zero_and_nan(self):
+        with np.errstate(divide="ignore"):
+            got = _complex_log(np.array([0j, complex(np.nan, 0.0)]))
+        assert got[0].real == -np.inf and got[0].imag == 0
+        assert np.isnan(got[1].real) and np.isnan(got[1].imag)
 
 
 class TestRegularizedRatio:
