@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from importlib import resources
+from inspect import signature
 from typing import Callable
 
 import click
@@ -52,13 +53,12 @@ class IdentityRow:
 
     ``load`` turns a JSONL parameter record into a point, ``sample`` draws
     one from an rng, and ``verify(point, policy[, convention])`` checks it;
-    the convention is passed only when ``takes_convention`` is set.
+    the convention is passed only when its signature names one.
     """
 
     load: Callable[[dict], object]
     sample: Callable[[np.random.Generator], object]
     verify: Callable[..., idn.VerificationReport]
-    takes_convention: bool
 
 
 def _classical_point(rec: dict) -> dict:
@@ -74,25 +74,23 @@ IDENTITY_TABLE = {
         lambda rng: {"x": float(rng.uniform(0.01, 0.99)),
                      "y": float(rng.uniform(0.01, 0.99))},
         lambda point, policy: idn.verify_classical_pentagon(point["x"],
-                                                            point["y"]),
-        False),
+                                                            point["y"])),
     IdentityId.HYPERBOLIC: IdentityRow(
         krn.HyperbolicParams.from_record, krn.sample_hyperbolic,
-        idn.verify_pentagon_hyperbolic, False),
+        idn.verify_pentagon_hyperbolic),
     IdentityId.INDEX: IdentityRow(
         krn.IndexParams.from_record, krn.sample_index,
-        idn.verify_pentagon_index, True),
+        idn.verify_pentagon_index),
     IdentityId.GAMMA_SUM_INTEGRAL: IdentityRow(
         krn.GammaParams.from_record, krn.sample_gamma,
-        idn.verify_pentagon_gamma, True),
+        idn.verify_pentagon_gamma),
     IdentityId.EQUIVALENCE: IdentityRow(
         krn.GammaParams.from_record,
         lambda rng: krn.sample_gamma(rng, with_spins=False),
-        lambda point, policy: idn.equivalence_check_gamma_rhs(point),
-        False),
+        lambda point, policy: idn.equivalence_check_gamma_rhs(point)),
     IdentityId.BETA_INTEGRAL: IdentityRow(
         krn.BetaParams.from_record, krn.sample_beta,
-        idn.verify_pentagon_beta, True),
+        idn.verify_pentagon_beta),
 }
 
 
@@ -109,18 +107,29 @@ def _load_points(identity: IdentityId, params_path: str) -> list:
                 continue
             try:
                 rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise ValueError(f"record is not a JSON object: {line}")
                 declared = rec.get("identity")
                 if declared is not None and declared != expected:
                     raise ValueError(f"record declares identity "
                                      f"{declared!r}, expected {expected!r}")
                 points.append(IDENTITY_TABLE[identity].load(rec))
-            except (ValueError, KeyError) as exc:
+            except (ValueError, KeyError, TypeError, ArithmeticError) as exc:
                 raise click.ClickException(
                     f"{params_path}:{lineno}: constraint violation or "
                     f"parse error: {exc}") from exc
     if not points:
         raise click.ClickException(f"{params_path}: no parameter points")
     return points
+
+
+def _run_header(command: str, **fields) -> str:
+    """A report's first line: schema, command, ``fields``, timestamp."""
+    return json.dumps({
+        "schema_version": SCHEMA_VERSION, "kind": "run_header",
+        "command": command, **fields,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    })
 
 
 def _emit(lines: list[str], report_path: str | None) -> None:
@@ -180,7 +189,7 @@ def verify(identity, params_path, random_count, seed, tol, convention,
     else:
         identity_id = IdentityId(identity)
         row = IDENTITY_TABLE[identity_id]
-        takes_convention = row.takes_convention
+        takes_convention = "convention" in signature(row.verify).parameters
         if params_path is not None and random_count is not None:
             raise click.UsageError("use exactly one of --params or --random")
         if params_path is not None:
@@ -205,14 +214,10 @@ def verify(identity, params_path, random_count, seed, tol, convention,
         results.append(rep)
     reports = [res for res in results if not isinstance(res, str)]
 
-    lines = [json.dumps({
-        "schema_version": SCHEMA_VERSION, "kind": "run_header",
-        "command": "verify", "identity": identity, "seed": seed,
-        "convention": convention if takes_convention else None,
-        "points": len(results),
-        "generator": "numpy.random.default_rng(PCG64)",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    })]
+    lines = [_run_header(
+        "verify", identity=identity, seed=seed,
+        convention=convention if takes_convention else None,
+        points=len(results), generator="numpy.random.default_rng(PCG64)")]
     for index, res in enumerate(results):
         record = {"error": res} if isinstance(res, str) else res.to_record()
         lines.append(json.dumps({"kind": "point", "index": index, **record}))
@@ -250,13 +255,9 @@ def limit_study(kind, seed, report_path) -> None:
         result = idn.limit_study_omega()
         params = {"omega1": 1.0, "z_values": list(idn.OMEGA_Z_VALUES),
                   "T_sequence": list(idn.OMEGA_T_SEQUENCE)}
-    lines = [json.dumps({
-        "schema_version": SCHEMA_VERSION, "kind": "run_header",
-        "command": "limit-study", "study": kind, "seed": seed,
-        "parameters": params,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    })]
-    lines.append(json.dumps({"kind": "study", **result.to_record()}))
+    lines = [_run_header("limit-study", study=kind, seed=seed,
+                         parameters=params),
+             json.dumps({"kind": "study", **result.to_record()})]
     _emit(lines, report_path)
     sys.exit(0 if result.passed else 1)
 

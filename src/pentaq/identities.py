@@ -40,7 +40,6 @@ from functools import partial
 import numpy as np
 
 from .integrators import (
-    _MAX_RINGS,
     DEFAULT_POLICY,
     QuadratureResult,
     Tail,
@@ -234,10 +233,9 @@ class _TermGrid:
     (downward) over the rows.  Both keep the left-to-right order of the
     one-step recurrence; only the last bit of a complex product can differ
     from an elementwise ``v * step``, which numpy rounds in another loop.
-    The chain runs _LOOK_AHEAD steps past the missing term, but not past
-    |m| = _MAX_RINGS, the farthest ring the m-sum asks for.  Those rows
+    The chain runs _LOOK_AHEAD steps past the missing term.  Those rows
     cost rational arithmetic only, on a level whose seed is evaluated
-    anyway.
+    anyway; rows the m-sum never asks for change no other row.
     """
 
     def __init__(self, direct, step):
@@ -303,9 +301,8 @@ class _TermGrid:
         known = m_sum
         while (known, level) not in self._values:
             known -= stride
-        reach = sign * max(abs(m_sum),
-                           min(abs(m_sum) + 2 * _LOOK_AHEAD, _MAX_RINGS))
-        ms = np.arange(known + stride, reach + sign, stride)
+        ms = np.arange(known + stride, m_sum + (_LOOK_AHEAD + 1) * stride,
+                       stride)
         rows = np.empty((len(ms) + 1, len(nodes)), dtype=complex)
         rows[0] = self._values[known, level]
         if sign > 0:   # term m = term m - 2 times step(m - 2)
@@ -410,13 +407,11 @@ def eval_hyperbolic_lhs(p: HyperbolicParams,
     omega2 = 1, 1.1, 0.9 (kappa 8.8-9.0, window 18), and it rises to +36
     at omega1 = 0.015(1 + i), omega2 = 1; so the edge values stay below
     e^{-124} |f(0)|.  HyperbolicParams admits only kappa > 0, where the
-    integral converges.  Beyond the window the exponentials of the
-    integrand may overflow, so the nodes stay inside it.
+    integral converges, and owns it as ``p.kappa``.  Beyond the window the
+    exponentials of the integrand may overflow, so the nodes stay inside it.
     """
-    s = 1 / p.omega.omega1 + 1 / p.omega.omega2
-    kappa = 2 * math.pi * s.real
     return integrate_real_line(_hyperbolic_integrand(p), policy,
-                               u_max=160 / kappa)
+                               u_max=160 / p.kappa)
 
 
 def eval_hyperbolic_rhs(p: HyperbolicParams) -> complex:
@@ -990,9 +985,9 @@ def limit_study_q_to_1(p_gamma: GammaParams) -> LimitStudyResult:
     # convergence order of the (1/2, 3/2) probe, fitted in (1 - q)
     log_eps = np.log([1 - q for q in Q_TO_1_SEQUENCE])
     fitted_order = float(np.polyfit(log_eps, np.log(half_errors), 1)[0])
+    # Q_TO_1_SEQUENCE ascends, so the rows are in order of q
     dists = [row["kernel_distance"] for row in rows]
-    by_q = sorted(zip(Q_TO_1_SEQUENCE, dists))
-    monotone = all(b[1] < a[1] for a, b in zip(by_q, by_q[1:]))
+    monotone = all(b < a for a, b in zip(dists, dists[1:]))
     passed = (monotone
               and all(row["probe_exact_deviation"] < 1e-12 for row in rows)
               and fitted_order >= 1.0)

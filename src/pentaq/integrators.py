@@ -96,8 +96,11 @@ class QuadratureResult:
 
 @functools.cache
 def _level(refinements: int, conjugate_symmetric: bool):
-    """The new nodes x = k/n of one level of :func:`_nested_trapezoid`, and
-    their weights under ``conjugate_symmetric`` (None without it)."""
+    """One level of :func:`_nested_trapezoid`, computed once and shared by
+    every integrand: its new nodes x = k/n, their weights under
+    ``conjugate_symmetric`` (None without it), their images on the unit
+    circle, z = exp(2 pi i x), and their :func:`_line_images` on the whole
+    line (theta_max = pi/2), as read-only arrays."""
     n = _FIRST_NODES << refinements
     k = np.arange(1, n, 2) if refinements else np.arange(n)
     weights = None
@@ -105,17 +108,11 @@ def _level(refinements: int, conjugate_symmetric: bool):
         k = k[2 * k <= n]
         weights = np.where((k == 0) | (2 * k == n), 1.0, 2.0)
     x = k / n
-    x.flags.writeable = False   # shared by every call
-    return x, weights
-
-
-@functools.cache
-def _circle_images(refinements: int, conjugate_symmetric: bool):
-    """Level ``refinements``' new nodes on the unit circle, z = exp(2 pi i x),
-    computed once and shared by every integrand."""
-    z = np.exp(2j * np.pi * _level(refinements, conjugate_symmetric)[0])
-    z.flags.writeable = False
-    return z
+    z = np.exp(2j * np.pi * x)
+    line = _line_images(x, math.atan(math.inf))
+    for a in (x, z, *line):
+        a.flags.writeable = False
+    return x, weights, z, line
 
 
 def _line_images(x, theta_max: float):
@@ -123,17 +120,6 @@ def _line_images(x, theta_max: float):
     du/dx = 2 theta_max sec^2 theta."""
     theta = theta_max * (2 * x - 1)
     return np.tan(theta), 2 * theta_max / np.cos(theta) ** 2
-
-
-@functools.cache
-def _whole_line_images(refinements: int, conjugate_symmetric: bool):
-    """:func:`_line_images` of level ``refinements`` on the whole line
-    (theta_max = pi/2), computed once and shared by every integrand."""
-    images = _line_images(_level(refinements, conjugate_symmetric)[0],
-                          math.atan(math.inf))
-    for a in images:
-        a.flags.writeable = False
-    return images
 
 
 def _nested_trapezoid(g, policy: TruncationPolicy,
@@ -161,7 +147,7 @@ def _nested_trapezoid(g, policy: TruncationPolicy,
     new nodes are, in increasing order, the nodes of 64 * 2**j that level
     j - 1 lacks, or with ``conjugate_symmetric`` those of them in
     [0, 1/2].  Node 0 is evaluated like any other.  The circle's and the
-    whole line's images of each level are cached beside :func:`_level`, so
+    whole line's images of each level are cached in :func:`_level`, so
     every term of a sum-integral shares them.
     """
     # level 0 has no predecessor; its difference from nan never converges
@@ -227,11 +213,10 @@ def integrate_real_line(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
     theta_max = math.atan(u_max)
 
     def g(refinements):
-        if u_max == math.inf:
-            u, weight = _whole_line_images(refinements, conjugate_symmetric)
-        else:   # per call: a cache keyed by u_max would grow with each point
-            u, weight = _line_images(
-                _level(refinements, conjugate_symmetric)[0], theta_max)
+        x, _, _, line = _level(refinements, conjugate_symmetric)
+        # a finite window maps per call: a cache keyed by u_max would grow
+        # with each point
+        u, weight = line if u_max == math.inf else _line_images(x, theta_max)
         return integrand(u) * weight
 
     return _nested_trapezoid(g, policy, conjugate_symmetric)
@@ -258,8 +243,8 @@ def integrate_unit_circle(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
     build its values from its own values at level j.
     """
     return _nested_trapezoid(
-        lambda refinements: integrand(_circle_images(refinements,
-                                                     conjugate_symmetric)),
+        lambda refinements: integrand(_level(refinements,
+                                             conjugate_symmetric)[2]),
         policy, conjugate_symmetric)
 
 
@@ -308,13 +293,6 @@ class Tail:
         head, projection = _power_law_fit(self.power, self.alternating, M)
         return complex(self.leading * head + projection @ excess), 0.0
 
-    def _power_sums(self, s, M: int):
-        """sum_{m > M} m^{-s}, or sum_{m > M} (-1)^m m^{-s} if alternating."""
-        if not self.alternating:
-            return _hurwitz_zeta(s, M + 1)
-        return ((-1.0) ** (M + 1) * 2.0 ** -s * (_hurwitz_zeta(s, (M + 1) / 2)
-                                                - _hurwitz_zeta(s, (M + 2) / 2)))
-
     def error(self, estimates: list) -> float:
         """Error of the last estimate: the larger of the last two changes
         (geometric) or the change over four rings (power law)."""
@@ -322,6 +300,14 @@ class Tail:
         if len(estimates) < pairs[-1][1]:
             return math.inf
         return max(abs(estimates[-a] - estimates[-b]) for a, b in pairs)
+
+
+def _power_sums(s, M: int, alternating: bool):
+    """sum_{m > M} m^{-s}, or sum_{m > M} (-1)^m m^{-s} if alternating."""
+    if not alternating:
+        return _hurwitz_zeta(s, M + 1)
+    return ((-1.0) ** (M + 1) * 2.0 ** -s * (_hurwitz_zeta(s, (M + 1) / 2)
+                                            - _hurwitz_zeta(s, (M + 2) / 2)))
 
 
 @functools.cache
@@ -336,7 +322,7 @@ def _power_law_fit(power: int, alternating: bool, M: int):
     to the scaled tail sums.  At most 2 x _MAX_RINGS keys per power."""
     j = np.arange(M // 2, M + 1)
     powers = power + 2 * np.arange(5)
-    sums = Tail(power, alternating=alternating)._power_sums(powers, M)
+    sums = _power_sums(powers, M, alternating)
     pinv = np.linalg.lstsq((M / j)[:, None] ** powers[1:],
                            np.eye(len(j)), rcond=None)[0]
     projection = (sums[1:] * float(M) ** powers[1:]) @ pinv

@@ -11,6 +11,7 @@ verification runs are reproducible from record files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,9 +119,13 @@ def b_beta(x, y) -> complex:
 # ---------------------------------------------------------------------------
 
 def _check_zero_sum(values, label: str) -> tuple:
-    vals = tuple(int(v) for v in values)
+    vals = tuple(values)
     if len(vals) != 3:
         raise ValueError(f"{label} must have exactly 3 entries")
+    # v % 1 is nan for nan and inf, so only whole numbers pass
+    if not all(v % 1 == 0 for v in vals):
+        raise ValueError(f"{label} must be integers, got {vals}")
+    vals = tuple(int(v) for v in vals)
     if sum(vals) != 0:
         raise ValueError(f"{label} must sum to zero, got {vals}")
     return vals
@@ -128,13 +133,14 @@ def _check_zero_sum(values, label: str) -> tuple:
 
 def _positive_half_triple(values, label: str) -> tuple:
     """``values`` as three positive floats summing to 1/2, the balancing of
-    the index exponents and of the gamma parameters."""
+    the index exponents and of the gamma parameters.  Both checks are
+    written so that nan fails them."""
     vals = tuple(float(v) for v in values)
     if len(vals) != 3:
         raise ValueError(f"{label} must have exactly 3 entries")
-    if abs(sum(vals) - 0.5) > 1e-12:
+    if not abs(sum(vals) - 0.5) <= 1e-12:
         raise ValueError(f"balancing violated: sum({label}) = {sum(vals)}")
-    if min(vals) <= 0:
+    if not min(vals) > 0:
         raise ValueError(f"{label} must be positive, got {vals}")
     return vals
 
@@ -143,13 +149,13 @@ def _separated_pairs(a, b, total) -> tuple:
     """``a`` and ``b`` as two complex triples with sum(a) + sum(b) = total
     and every pair separating the poles, 0 < Re((a_i + b_j) / total) < 1:
     the balancing of the hyperbolic (total w1 + w2) and beta (total 1)
-    identities."""
+    identities.  A nan anywhere fails the balancing."""
     a = tuple(complex(v) for v in a)
     b = tuple(complex(v) for v in b)
     if len(a) != 3 or len(b) != 3:
         raise ValueError("need exactly 3 a's and 3 b's")
     got = sum(a) + sum(b)
-    if abs(got - total) > 1e-12 * max(1.0, abs(total)):
+    if not abs(got - total) <= 1e-12 * max(1.0, abs(total)):
         raise ValueError(
             f"balancing violated: sum(a)+sum(b) = {got}, expected {total}")
     for ai in a:
@@ -171,14 +177,20 @@ class HyperbolicParams:
 
     def __post_init__(self) -> None:
         a, b = _separated_pairs(self.a, self.b, self.omega.omega_sum)
-        # along u = i t the integrand decays like exp(-2 pi decay |t|)
-        # (eval_hyperbolic_lhs); without decay the integral diverges
-        decay = (1 / self.omega.omega1 + 1 / self.omega.omega2).real
-        if decay <= 0:
-            raise ValueError(
-                f"integrand does not decay: Re(1/w1 + 1/w2) = {decay}")
+        # without decay the integral diverges
+        if not self.kappa > 0:
+            raise ValueError(f"integrand does not decay: "
+                             f"kappa = 2 pi Re(1/w1 + 1/w2) = {self.kappa}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+
+    @property
+    def kappa(self) -> float:
+        """Decay rate of the integrand along u = i t, which falls like
+        exp(-kappa |t|) (:func:`pentaq.identities.eval_hyperbolic_lhs`):
+        kappa = 2 pi Re(1/omega1 + 1/omega2)."""
+        s = 1 / self.omega.omega1 + 1 / self.omega.omega2
+        return 2 * math.pi * s.real
 
     @classmethod
     def balanced(cls, a1, a2, a3, b1, b2, omega: ModularPair) -> "HyperbolicParams":
@@ -393,24 +405,25 @@ def sample_index(rng: np.random.Generator) -> IndexParams:
     return IndexParams(s, t, n, m, q)
 
 
-def sample_hyperbolic(rng: np.random.Generator,
-                      omega: ModularPair | None = None) -> HyperbolicParams:
-    """A balanced hyperbolic point: parameters are real multiples of
-    omega1 + omega2 drawn from a box that keeps every pair separation
-    Re((a_i + b_j)/(w1 + w2)) inside (0, 1)."""
-    if omega is None:
-        omega = ModularPair(0.4 + 0.9j, 1.0)
-    ws = omega.omega_sum
+def _separated_draw(rng: np.random.Generator, total) -> tuple:
+    """a1, a2, a3, b1, b2 of a complex family with balancing total
+    ``total``: real multiples of it from [0.05, 0.15], a box that keeps
+    every pair separation Re((a_i + b_j) / total) inside (0, 1)."""
     x = rng.uniform(0.05, 0.15, 3)
     y12 = rng.uniform(0.05, 0.15, 2)
-    a = tuple(float(v) * ws for v in x)
-    b1, b2 = (float(v) * ws for v in y12)
-    return HyperbolicParams.balanced(a[0], a[1], a[2], b1, b2, omega)
+    return tuple(float(v) * total for v in (*x, *y12))
+
+
+def sample_hyperbolic(rng: np.random.Generator,
+                      omega: ModularPair | None = None) -> HyperbolicParams:
+    """A balanced hyperbolic point, pairs separated
+    (:func:`_separated_draw`)."""
+    if omega is None:
+        omega = ModularPair(0.4 + 0.9j, 1.0)
+    return HyperbolicParams.balanced(
+        *_separated_draw(rng, omega.omega_sum), omega)
 
 
 def sample_beta(rng: np.random.Generator) -> BetaParams:
-    """A balanced beta point with every Re(a_i + b_j) inside (0, 1)."""
-    x = rng.uniform(0.05, 0.15, 3)
-    y12 = rng.uniform(0.05, 0.15, 2)
-    return BetaParams.balanced(float(x[0]), float(x[1]), float(x[2]),
-                               float(y12[0]), float(y12[1]))
+    """A balanced beta point, pairs separated (:func:`_separated_draw`)."""
+    return BetaParams.balanced(*_separated_draw(rng, 1))

@@ -1,9 +1,10 @@
 """Exact truncated series algebra in two q-commuting variables.
 
 The variables satisfy xy = q yx.  Every series is kept normal-ordered:
-a monomial with key (a, b) stands for x^a y^b.  Coefficients are exact
-`fractions.Fraction` values when q is rational, so the operator pentagon
-check below is an exact computation with no tolerance at all.
+a monomial with key (a, b) stands for x^a y^b.  q and the coefficients are
+exact rationals: each is taken as ``Fraction(value)``, so a float becomes
+its exact binary rational and a complex is refused.  The operator pentagon
+check below is therefore an exact computation with no tolerance at all.
 """
 
 from __future__ import annotations
@@ -31,13 +32,6 @@ class Generator(Enum):
     NEG_XY = "-xy"
 
 
-def _coerce(value):
-    """Keep exact rationals exact; everything else becomes complex."""
-    if isinstance(value, (Fraction, int)):
-        return Fraction(value)
-    return complex(value)
-
-
 @dataclass(frozen=True)
 class NormalOrderedSeries:
     """A truncated formal series sum_{a+b <= max_degree} c_{ab} x^a y^b.
@@ -46,21 +40,21 @@ class NormalOrderedSeries:
     cap are dropped at construction.
     """
 
-    coefficients: Mapping[tuple[int, int], object]
+    coefficients: Mapping[tuple[int, int], Fraction]
     max_degree: int
-    q: object
+    q: Fraction
 
     def __post_init__(self) -> None:
         if self.max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
-        q = _coerce(self.q)
+        q = Fraction(self.q)
         clean = {}
         for (a, b), c in self.coefficients.items():
             if a < 0 or b < 0:
                 raise ValueError(f"exponents must be nonnegative, got {(a, b)}")
             if a + b > self.max_degree:
                 continue
-            c = _coerce(c)
+            c = Fraction(c)
             if c != 0:
                 clean[(a, b)] = c
         object.__setattr__(self, "coefficients", clean)
@@ -71,7 +65,7 @@ class NormalOrderedSeries:
                  coeff=Fraction(1)) -> "NormalOrderedSeries":
         return cls({(a, b): coeff}, max_degree, q)
 
-    def coefficient(self, a: int, b: int):
+    def coefficient(self, a: int, b: int) -> Fraction:
         return self.coefficients.get((a, b), Fraction(0))
 
     def __add__(self, other: "NormalOrderedSeries") -> "NormalOrderedSeries":
@@ -96,13 +90,13 @@ class NormalOrderedSeries:
         kept = {k: c for k, c in self.coefficients.items() if k[1] == 0}
         return NormalOrderedSeries(kept, self.max_degree, self.q)
 
-    def max_abs_coefficient(self):
-        """Largest coefficient magnitude (exact Fraction when possible)."""
+    def max_abs_coefficient(self) -> Fraction:
+        """Largest coefficient magnitude."""
         if not self.coefficients:
             return Fraction(0)
         return max(abs(c) for c in self.coefficients.values())
 
-    def table(self) -> list[tuple[int, int, object]]:
+    def table(self) -> list[tuple[int, int, Fraction]]:
         """Sorted (a, b, coefficient) rows for display."""
         return [(a, b, c) for (a, b), c in
                 sorted(self.coefficients.items(), key=lambda kv: (sum(kv[0]), kv[0]))]
@@ -123,7 +117,7 @@ def series_multiply(lhs: NormalOrderedSeries,
     lhs._check_compatible(rhs)
     deg = lhs.max_degree
     q = lhs.q
-    out: dict[tuple[int, int], object] = {}
+    out: dict[tuple[int, int], Fraction] = {}
     for (a, b), cl in lhs.coefficients.items():
         for (c, d), cr in rhs.coefficients.items():
             if a + c + b + d > deg:
@@ -134,9 +128,9 @@ def series_multiply(lhs: NormalOrderedSeries,
     return NormalOrderedSeries(out, deg, q)
 
 
-def _qfact(q, n: int):
-    """(q; q)_n by finite recurrence (exact for rational q)."""
-    prod = Fraction(1) if isinstance(q, Fraction) else 1.0 + 0j
+def _qfact(q: Fraction, n: int) -> Fraction:
+    """(q; q)_n by finite recurrence."""
+    prod = Fraction(1)
     for k in range(1, n + 1):
         prod = prod * (1 - q ** k)
     return prod
@@ -152,8 +146,8 @@ def quantum_dilog_series(generator: Generator, max_degree: int,
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    q = _coerce(q)
-    coeffs: dict[tuple[int, int], object] = {}
+    q = Fraction(q)
+    coeffs: dict[tuple[int, int], Fraction] = {}
     for n in range(max_degree + 1):
         c = (-1) ** n * q ** (n * (n + 1) // 2) / _qfact(q, n)
         if generator is Generator.X:
@@ -185,13 +179,13 @@ def operator_pentagon_sides(max_degree: int, q) -> tuple[
 def check_operator_pentagon(max_degree: int, q) -> tuple:
     """Exact check of l(y) l(x) = l(x) l(-xy) l(y) up to total degree.
 
-    Returns the coerced q and the maximum residual coefficient magnitude,
-    which is exactly zero when q is rational.
+    Returns q as a Fraction and the maximum residual coefficient
+    magnitude, which is exactly zero.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
-    q = _coerce(q)
-    if isinstance(q, Fraction) and not 0 < q < 1:
+    q = Fraction(q)
+    if not 0 < q < 1:
         raise ValueError(f"need 0 < q < 1, got {q}")
     lhs, rhs = operator_pentagon_sides(max_degree, q)
     return q, (lhs - rhs).max_abs_coefficient()

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSONL records, determinism."""
 
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -79,8 +80,18 @@ class TestVerify:
         ("hyperbolic", {"a": [[0.05, 0.03]] * 3,
                         "b": [[0.05, 0.03]] * 2 + [[0.25, 0.15]],
                         "omega1": [-0.5, 0.3], "omega2": [1.0, 0.0]}),
+        ("classical", {"x": None, "y": 0.5}),
+        ("hyperbolic", {"a": [1, 2, 3], "b": [[0.05, 0.03]] * 3,
+                        "omega1": [0.4, 0.9], "omega2": [1.0, 0.0]}),
+        ("classical", [1, 2]),
+        ("index", {"s": [math.nan, 0.2, 0.3], "t": [0.1, 0.2, 0.2],
+                   "n": [0, 0, 0], "m": [0, 0, 0], "q": 0.3}),
+        # the spins' half-sums overflow a float
+        ("gamma", {"alpha": [0.1, 0.2, 0.2], "beta": [0.1, 0.2, 0.2],
+                   "n": [10**400, -10**400, 0], "m": [0, 0, 0]}),
     ], ids=["index-spins", "index-negative-exponent", "classical-outside",
-            "hyperbolic-no-decay"])
+            "hyperbolic-no-decay", "classical-null", "hyperbolic-a-not-pairs",
+            "not-an-object", "index-nan", "gamma-overflowing-spins"])
     def test_params_file_constraint_violation_reported(self, runner,
                                                        tmp_path, identity,
                                                        rec):

@@ -1,7 +1,8 @@
 """Source hygiene: every name a pentaq module imports or defines as private
-is used there, every name it exports is bound there, every function the
-benchmark's tracing shims rebind still exists, and the truncation policy
-stays with the engines."""
+is used there, no module reaches for another module's private names, every
+name it exports is bound there, every function the benchmark's tracing
+shims rebind still exists, and the truncation policy stays with the
+engines."""
 
 import ast
 import importlib.util
@@ -97,6 +98,50 @@ def test_checker_flags_an_unused_private_name():
                      "class _C:\n    _B = 3\n")
     assert unused_private_names(tree) == ["_B (line 3)", "_C (line 7)",
                                           "_f (line 5)", "_math (line 1)"]
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_imports(tree: ast.Module) -> list[str]:
+    """Private names that a module takes from another pentaq module, by
+    ``from .m import _x`` or as ``n._x`` with ``n`` imported from one."""
+    found, imported = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("pentaq")):
+            for alias in node.names:
+                if _is_private(alias.name):
+                    found.append(f"{alias.name} (line {node.lineno})")
+                imported.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _is_private(node.attr)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in imported):
+            found.append(f"{node.value.id}.{node.attr} (line {node.lineno})")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_private_name_crosses_modules(path):
+    # a private name has one owner; tests may still import private names
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert private_imports(tree) == []
+
+
+def test_checker_flags_a_private_import():
+    tree = ast.parse("from . import kernels as krn\n"
+                     "from .integrators import _MAX_RINGS, Tail\n"
+                     "from pentaq.cli import _emit\n"
+                     "from numpy import _core\n"
+                     "import math\n"
+                     "x = krn._check_zero_sum, krn.b_hyp, math._x, Tail._y\n"
+                     "y = krn.__name__\n")
+    assert private_imports(tree) == [
+        "Tail._y (line 6)", "_MAX_RINGS (line 2)", "_emit (line 3)",
+        "krn._check_zero_sum (line 6)"]
 
 
 def undefined_exports(tree: ast.Module) -> list[str]:

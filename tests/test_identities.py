@@ -46,7 +46,6 @@ from pentaq.kernels import (
 )
 from pentaq.integrators import (
     _FIRST_NODES,
-    _MAX_RINGS,
     DEFAULT_POLICY,
     TruncationPolicy,
     integrate_real_line,
@@ -563,8 +562,7 @@ class TestTermGrid:
     def test_chains_reach_far_in_one_call(self, term_integrand, make_step,
                                           point, levels):
         # one step call per chain reaches m = +-200 or +-201 and the 8
-        # look-ahead rows beyond, with no RuntimeWarning and finite values;
-        # a chain stops at |m| = _MAX_RINGS, the farthest ring of the m-sum
+        # look-ahead rows beyond, with no RuntimeWarning and finite values
         calls = []
         grid = _TermGrid(partial(term_integrand, point, signed=True),
                          _counting(make_step(point), calls))
@@ -576,8 +574,6 @@ class TestTermGrid:
             for m in range(-217, 218):   # the look-ahead rows
                 assert np.all(np.isfinite(grid.integrand(m)(nodes))), m
             assert len(calls) == 4
-            grid.integrand(_MAX_RINGS - 10)(nodes)
-        assert calls[-1][-1] == _MAX_RINGS - 2   # step to term _MAX_RINGS
 
 
 class TestEquivalence:

@@ -155,6 +155,33 @@ class TestParamContainers:
         p = BetaParams.balanced(0.1, 0.12, 0.09, 0.11, 0.13)
         assert sum(p.a) + sum(p.b) == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("make", [
+        lambda nan: IndexParams((nan, 0.2, 0.3), (0.1, 0.2, 0.2),
+                                (0, 0, 0), (0, 0, 0), 0.3),
+        lambda nan: GammaParams((0.1, 0.2, 0.2), (0.1, nan, 0.2),
+                                (0, 0, 0), (0, 0, 0)),
+        lambda nan: HyperbolicParams((0.1, 0.2, nan), (0.1, 0.2, 0.3),
+                                     ModularPair(0.4 + 0.9j, 1.0)),
+        lambda nan: BetaParams((nan, 0.1, 0.1), (0.1, 0.1, 0.5)),
+    ], ids=["index", "gamma", "hyperbolic", "beta"])
+    def test_nan_fails_balancing(self, make):
+        with pytest.raises(ValueError, match="balancing violated"):
+            make(math.nan)
+
+    @pytest.mark.parametrize("spins", [(1.5, -1.5, 0), (math.nan, 0, 0)])
+    def test_non_integer_spins_rejected(self, spins):
+        # int() would truncate 1.5 to 1 and verify another point
+        with pytest.raises(ValueError, match="must be integers"):
+            GammaParams.balanced(0.12, 0.21, 0.17, 0.08, *spins[:2])
+        with pytest.raises(ValueError, match="must be integers"):
+            IndexParams((0.1, 0.2, 0.2), (0.1, 0.2, 0.2), (0, 0, 0), spins,
+                        0.3)
+
+    def test_hyperbolic_kappa_is_the_decay_rate(self, omega):
+        s = 1 / omega.omega1 + 1 / omega.omega2
+        p = sample_hyperbolic(np.random.default_rng(0), omega)
+        assert p.kappa == 2 * math.pi * s.real
+
     def test_round_trip_serialization(self, rng, omega):
         for sampler, cls in ((sample_index, IndexParams),
                              (sample_gamma, GammaParams),

@@ -125,3 +125,14 @@ class TestOperatorPentagon:
     def test_rejects_bad_degree(self):
         with pytest.raises(ValueError):
             check_operator_pentagon(0, Q)
+
+    def test_float_q_is_its_exact_binary_rational(self):
+        q, residual = check_operator_pentagon(4, 0.3)
+        assert q == Fraction(0.3) and residual == 0
+
+    @pytest.mark.parametrize("q, error", [(1.5, ValueError),
+                                          (Fraction(3, 2), ValueError),
+                                          (0.5 + 0.1j, TypeError)])
+    def test_rejects_q_outside_the_unit_interval(self, q, error):
+        with pytest.raises(error):
+            check_operator_pentagon(2, q)
