@@ -42,7 +42,7 @@ from .special_functions import (
 )
 from .weyl_series import operator_pentagon_sides
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _OPERATOR_QS = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))
 
@@ -91,6 +91,14 @@ IDENTITY_TABLE = {
     IdentityId.BETA_INTEGRAL: IdentityRow(
         krn.BetaParams.from_record, krn.sample_beta,
         idn.verify_pentagon_beta),
+}
+
+
+# limit-study kind -> (seed -> LimitStudyResult)
+LIMIT_TABLE = {
+    "q-to-1": lambda seed: idn.limit_study_q_to_1(
+        krn.sample_gamma(np.random.default_rng(seed))),
+    "omega": lambda seed: idn.limit_study_omega(),
 }
 
 
@@ -240,23 +248,15 @@ def verify(identity, params_path, random_count, seed, tol, convention,
 
 
 @main.command("limit-study")
-@click.argument("kind", type=click.Choice(["q-to-1", "omega"]))
+@click.argument("kind", type=click.Choice(list(LIMIT_TABLE)))
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed for the gamma parameter point of the q-to-1 study.")
 @click.option("--report", "report_path", type=click.Path(), default=None)
 def limit_study(kind, seed, report_path) -> None:
     """Run a convergence study toward one of the two gamma-function limits."""
-    if kind == "q-to-1":
-        rng = np.random.default_rng(seed)
-        p = krn.sample_gamma(rng)
-        result = idn.limit_study_q_to_1(p)
-        params = p.to_record()
-    else:
-        result = idn.limit_study_omega()
-        params = {"omega1": 1.0, "z_values": list(idn.OMEGA_Z_VALUES),
-                  "T_sequence": list(idn.OMEGA_T_SEQUENCE)}
+    result = LIMIT_TABLE[kind](seed)
     lines = [_run_header("limit-study", study=kind, seed=seed,
-                         parameters=params),
+                         parameters=result.parameters),
              json.dumps({"kind": "study", **result.to_record()})]
     _emit(lines, report_path)
     sys.exit(0 if result.passed else 1)

@@ -1,5 +1,5 @@
 """LHS/RHS evaluators and residual verification for the pentagon identities,
-plus the two gamma-function limit studies.
+plus the two gamma-function limit studies, which pass by one rule, ``_gate``.
 
 Conventions
 -----------
@@ -914,13 +914,14 @@ def verify_pentagon_beta(p: BetaParams,
 
 @dataclass(frozen=True)
 class LimitStudyResult:
-    """Convergence table for one of the two gamma-function limits."""
+    """One limit study: its rows, gate and (for the run header) its point."""
 
     kind: IdentityId
+    parameters: dict
     rows: tuple
     monotone: bool
     passed: bool
-    fitted_order: float | None = None
+    fitted_order: dict
     constant_fit: float | None = None
     wall_time: float = 0.0
     notes: str = ""
@@ -936,6 +937,26 @@ class LimitStudyResult:
             "wall_time": self.wall_time,
             "notes": self.notes,
         }
+
+
+def _gate(kind: IdentityId, parameters: dict, rows: list, groups: dict,
+          started: float, ok: bool = True, **extra) -> LimitStudyResult:
+    """The pass rule of every limit study.  ``groups`` maps a name to its
+    (epsilon, distance) pairs, epsilon -> 0 in row order, and least order;
+    its order is the slope of log distance on log epsilon, None if a
+    distance is nan, inf or 0.  The study passes when ``ok`` holds, every
+    group's distances fall strictly and every order reaches its least."""
+    orders, monotone = {}, True
+    for name, (pairs, least) in groups.items():
+        eps, dists = zip(*pairs)
+        monotone = monotone and all(b < a for a, b in zip(dists, dists[1:]))
+        fits = all(math.isfinite(d) and d > 0 for d in dists)
+        orders[name] = (float(np.polyfit(np.log(eps), np.log(dists), 1)[0])
+                        if fits else None)
+        ok = ok and fits and orders[name] >= least
+    return LimitStudyResult(kind, parameters, tuple(rows), monotone,
+                            ok and monotone, orders,
+                            wall_time=time.perf_counter() - started, **extra)
 
 
 def _regularized_kernel_distance(p: GammaParams, q: float) -> float:
@@ -960,44 +981,30 @@ def limit_study_q_to_1(p_gamma: GammaParams) -> LimitStudyResult:
     """Degeneration of the index identity toward the gamma identity.
 
     Three layers per q: an exact telescoping probe of the regularized
-    Pochhammer ratio (must equal 1 identically), a gamma-ratio probe whose
-    value tends to Gamma(3/2)/Gamma(1/2) = 1/2 with first order in (1-q),
-    and the identity-level distance between the (1-q)-regularized index
-    kernels and their discrete-gamma limits, which must decrease
-    monotonically along ``Q_TO_1_SEQUENCE``.
+    Pochhammer ratio (must equal 1 to 1e-12), a gamma-ratio probe whose
+    value tends to Gamma(3/2)/Gamma(1/2) = 1/2, and the distance between
+    the (1-q)-regularized index kernels and their discrete-gamma limits.
+    Both distances must fall with an order in (1-q) of at least 1 (probe)
+    and 0.9 (kernels).
     """
     started = time.perf_counter()
     rows = []
-    half_errors = []
     for q in Q_TO_1_SEQUENCE:
-        probe_exact = abs(qpoch_ratio_regularized(1, 2, q) - 1)
         half = qpoch_ratio_regularized(0.5, 1.5, q)
-        half_err = abs(half - 0.5)
-        dist = _regularized_kernel_distance(p_gamma, q)
-        half_errors.append(half_err)
         rows.append({
             "q": q,
-            "probe_exact_deviation": probe_exact,
+            "probe_exact_deviation": abs(qpoch_ratio_regularized(1, 2, q) - 1),
             "probe_half_value": [half.real, half.imag],
-            "probe_half_error": half_err,
-            "kernel_distance": dist,
+            "probe_half_error": abs(half - 0.5),
+            "kernel_distance": _regularized_kernel_distance(p_gamma, q),
         })
-    # convergence order of the (1/2, 3/2) probe, fitted in (1 - q)
-    log_eps = np.log([1 - q for q in Q_TO_1_SEQUENCE])
-    fitted_order = float(np.polyfit(log_eps, np.log(half_errors), 1)[0])
-    # Q_TO_1_SEQUENCE ascends, so the rows are in order of q
-    dists = [row["kernel_distance"] for row in rows]
-    monotone = all(b < a for a, b in zip(dists, dists[1:]))
-    passed = (monotone
-              and all(row["probe_exact_deviation"] < 1e-12 for row in rows)
-              and fitted_order >= 1.0)
-    return LimitStudyResult(
-        kind=IdentityId.LIMIT_Q_TO_1,
-        rows=tuple(rows),
-        monotone=monotone,
-        passed=passed,
-        fitted_order=fitted_order,
-        wall_time=time.perf_counter() - started,
+    # Q_TO_1_SEQUENCE ascends, so epsilon = 1 - q falls in row order
+    groups = {name: ([(1 - row["q"], row[name]) for row in rows], least)
+              for name, least in (("probe_half_error", 1.0),
+                                  ("kernel_distance", 0.9))}
+    return _gate(
+        IdentityId.LIMIT_Q_TO_1, p_gamma.to_record(), rows, groups, started,
+        ok=all(row["probe_exact_deviation"] < 1e-12 for row in rows),
         notes="kernel_distance compares (1-q) * regularized index kernels "
               "against their discrete-gamma limits at contour probe points",
     )
@@ -1013,42 +1020,39 @@ def limit_study_omega() -> LimitStudyResult:
         gamma2(z; 1, omega2) -> (omega2 / (2 pi))^{1/2 - z} Gamma(z)
                                 / sqrt(2 pi),
 
-    i.e. the printed 1/(2 pi) normalization overshoots by sqrt(2 pi);
-    ``constant_fit`` reports the measured ratio against the 1/(2 pi) form,
-    which tends to sqrt(2 pi) = 2.5066...
+    i.e. the printed 1/(2 pi) normalization overshoots by sqrt(2 pi).  The
+    study passes when ``constant_fit``, that ratio at the largest T, is within
+    1e-6 of sqrt(2 pi) and each z's distance falls at order >= 1.8 in 1/T.
     """
     started = time.perf_counter()
     rows = []
-    monotone = True
-    ratios_at_largest = []
     for z in OMEGA_Z_VALUES:
-        dists = []
         for T in OMEGA_T_SEQUENCE:
             omega = ModularPair(1.0, T * np.exp(-1j * OMEGA_PHASE))
             g = np.exp(log_hyperbolic_gamma(z, omega))
             base = ((omega.omega2 / (2 * math.pi)) ** (0.5 - z)
                     * gamma_fn(z))
-            printed = base / (2 * math.pi)
+            ratio = complex(g / (base / (2 * math.pi)))
             corrected = base / math.sqrt(2 * math.pi)
-            dist = abs(g / corrected - 1)
-            dists.append(dist)
             rows.append({
                 "z": float(z),
                 "T": T,
-                "distance_corrected": float(dist),
-                "ratio_vs_printed": [complex(g / printed).real,
-                                     complex(g / printed).imag],
+                "distance_corrected": float(abs(g / corrected - 1)),
+                "ratio_vs_printed": [ratio.real, ratio.imag],
             })
-            if T == OMEGA_T_SEQUENCE[-1]:
-                ratios_at_largest.append(abs(g / printed))
-        monotone = monotone and all(b < a for a, b in zip(dists, dists[1:]))
-    return LimitStudyResult(
-        kind=IdentityId.LIMIT_OMEGA,
-        rows=tuple(rows),
-        monotone=monotone,
-        passed=monotone,
-        constant_fit=float(np.mean(ratios_at_largest)),
-        wall_time=time.perf_counter() - started,
+    constant_fit = float(np.mean([abs(complex(*row["ratio_vs_printed"]))
+                                  for row in rows
+                                  if row["T"] == OMEGA_T_SEQUENCE[-1]]))
+    groups = {f"z={z}": ([(1 / row["T"], row["distance_corrected"])
+                          for row in rows if row["z"] == z], 1.8)
+              for z in OMEGA_Z_VALUES}
+    return _gate(
+        IdentityId.LIMIT_OMEGA,
+        {"omega1": 1.0, "z_values": list(OMEGA_Z_VALUES),
+         "T_sequence": list(OMEGA_T_SEQUENCE)},
+        rows, groups, started,
+        ok=abs(constant_fit - math.sqrt(2 * math.pi)) < 1e-6,
+        constant_fit=constant_fit,
         notes="constant_fit is the measured ratio against the 1/(2 pi)-"
               "normalized limit formula; it converges to sqrt(2 pi)",
     )

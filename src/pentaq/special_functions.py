@@ -447,18 +447,18 @@ def log_hyperbolic_gamma(u, omega: ModularPair):
     with np.errstate(over="ignore", invalid="ignore"):
         num_arg = np.exp(2j * np.pi * u / omega.omega1) * qd
         den_arg = np.exp(2j * np.pi * u / omega.omega2)
-    if not np.all(np.isfinite(num_arg)):
+    if not np.isfinite(num_arg).all():
         raise ConvergenceError(
             f"dual nome |q~| = {abs(qd):.3g}: exp(2 pi i u / omega1) q~ "
             "is not finite in double precision")
-    if not np.all(np.isfinite(den_arg)):
+    if not np.isfinite(den_arg).all():
         raise ConvergenceError(
             "exp(2 pi i u / omega2) is not finite in double precision")
     log_num = log_qpoch_inf(num_arg, qd)
     log_den = log_qpoch_inf(den_arg, qv)
-    if not np.all(np.isfinite(log_den)):
+    if not np.isfinite(log_den).all():
         raise PoleError("hyperbolic gamma pole: denominator factor vanished")
-    if not np.all(np.isfinite(log_num)):
+    if not np.isfinite(log_num).all():
         raise PoleError("hyperbolic gamma zero: numerator factor vanished")
     out = -1j * np.pi * b22 / 2 + log_num - log_den
     return complex(out[0]) if shape == () else out.reshape(shape)

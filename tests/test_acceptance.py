@@ -176,11 +176,13 @@ def test_criterion_07_beta_pentagon():
 def test_criterion_08_limit_q_to_1():
     study = limit_study_q_to_1(GammaParams.symmetric_point())
     dists = [row["kernel_distance"] for row in study.rows]
+    orders = study.fitted_order
     _criterion(8, "q->1 degeneration of the index kernel is monotone with "
                "first-order rate",
                study.passed,
-               f"distances {['%.3e' % d for d in dists]}, "
-               f"order {study.fitted_order:.2f}")
+               f"distances {['%.3e' % d for d in dists]}, kernel order "
+               f"{orders['kernel_distance']:.3f}, probe order "
+               f"{orders['probe_half_error']:.3f}")
 
 
 def test_criterion_09_limit_omega():
@@ -189,7 +191,10 @@ def test_criterion_09_limit_omega():
                "sqrt(2 pi)-normalized gamma asymptotic",
                study.passed,
                f"fitted constant {study.constant_fit:.9f} vs "
-               f"sqrt(2 pi) = {np.sqrt(2 * np.pi):.9f}")
+               f"sqrt(2 pi) = {np.sqrt(2 * np.pi):.9f}, gap "
+               f"{abs(study.constant_fit - np.sqrt(2 * np.pi)):.1e}, orders "
+               + ", ".join(f"{name} {order:.3f}" for name, order
+                           in study.fitted_order.items()))
 
 
 def test_criterion_10_invariant_suite():

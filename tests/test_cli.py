@@ -6,7 +6,8 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from pentaq.cli import IDENTITY_TABLE, main
+from pentaq.cli import IDENTITY_TABLE, LIMIT_TABLE, main
+from pentaq.identities import IdentityId
 from pentaq.kernels import sample_hyperbolic
 from pentaq.special_functions import ModularPair
 
@@ -28,7 +29,7 @@ class TestVerify:
         assert res.exit_code == 0, res.output
         records = jsonl(res.output)
         assert records[0]["kind"] == "run_header"
-        assert records[0]["schema_version"] == 1
+        assert records[0]["schema_version"] == 2
         assert records[-1]["kind"] == "summary"
         assert records[-1]["failed"] == 0
 
@@ -195,12 +196,17 @@ class TestVerify:
 
 
 class TestLimitStudy:
-    @pytest.mark.parametrize("kind", ["q-to-1", "omega"])
+    @pytest.mark.parametrize("kind", list(LIMIT_TABLE))
     def test_exits_zero(self, runner, kind):
         res = runner.invoke(main, ["limit-study", kind])
         assert res.exit_code == 0, res.output
         records = jsonl(res.output)
         assert any(r.get("passed") for r in records)
+
+    def test_table_runs_every_limit_study(self):
+        kinds = {study(0).kind for study in LIMIT_TABLE.values()}
+        assert kinds == {i for i in IdentityId
+                         if i.value.startswith("limit-")}
 
 
 class TestExpandOperator:

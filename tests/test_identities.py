@@ -1,5 +1,7 @@
 """Identity evaluators: resolved conventions pass, printed ones show deficits."""
 
+import json
+import time
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -13,6 +15,7 @@ from pentaq.identities import (
     IdentityId,
     _beta_integrand,
     _gamma_term_integrand,
+    _gate,
     _GAMMA_SCALE,
     _gamma_step,
     _index_step,
@@ -658,13 +661,47 @@ class TestLimitStudies:
         assert study.passed and study.monotone
         dists = [row["kernel_distance"] for row in study.rows]
         assert dists == sorted(dists, reverse=True)
-        assert study.fitted_order >= 1.0
+        assert study.fitted_order["probe_half_error"] >= 1.0
 
     def test_omega_constant_is_sqrt_two_pi(self):
         study = limit_study_omega()
         assert study.passed and study.monotone
         assert study.constant_fit == pytest.approx(np.sqrt(2 * np.pi),
                                                    rel=1e-6)
+
+
+class TestGate:
+    EPS = (0.1, 0.05, 0.01)
+
+    @staticmethod
+    def gate(dists, least=1.8, ok=True):
+        pairs = list(zip(TestGate.EPS, dists))
+        return _gate(IdentityId.LIMIT_OMEGA, {}, [], {"g": (pairs, least)},
+                     time.perf_counter(), ok=ok)
+
+    def test_exact_square_law_has_order_two(self):
+        study = self.gate([e**2 for e in self.EPS])
+        assert study.monotone and study.passed
+        assert study.fitted_order["g"] == pytest.approx(2.0, abs=1e-12)
+
+    def test_rising_group_is_not_monotone(self):
+        study = self.gate([1e-3, 2e-3, 1e-4], least=-10.0)
+        assert not study.monotone and not study.passed
+
+    def test_order_below_least_fails(self):
+        study = self.gate([e**2 for e in self.EPS], least=2.5)
+        assert study.monotone and not study.passed
+
+    def test_ok_false_fails(self):
+        assert not self.gate([e**2 for e in self.EPS], ok=False).passed
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+    def test_degenerate_distance_has_no_order(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            study = self.gate([1e-2, 1e-3, bad])
+            json.dumps(study.to_record(), allow_nan=False)   # no NaN
+        assert study.fitted_order == {"g": None} and not study.passed
 
 
 class TestReportRecords:

@@ -1,10 +1,12 @@
-"""Report snapshot: ``pentaq verify --random 2 --seed 0`` for every identity
+"""Report snapshots: ``pentaq verify --random 2 --seed 0`` for every identity
 of the verify table, and ``pentaq verify --identity operator``, must give
-the records stored in ``tests/data/reports.jsonl``, apart from
-``timestamp`` and ``wall_time``.
+the records stored in ``tests/data/reports.jsonl``, and
+``pentaq limit-study <kind> --seed 0`` for every kind of the limit table
+those in ``tests/data/limit_studies.jsonl``, apart from ``timestamp`` and
+``wall_time``.
 
 A change that should leave reports as they are must pass this unchanged.  A
-change that moves them regenerates the fixture with
+change that moves them regenerates both fixtures with
 ``PYTHONPATH=src python tests/test_reports.py`` and says which fields moved.
 """
 
@@ -14,37 +16,53 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from pentaq.cli import IDENTITY_TABLE, main
+from pentaq.cli import IDENTITY_TABLE, LIMIT_TABLE, main
 
 FIXTURE = Path(__file__).parent / "data" / "reports.jsonl"
+LIMIT_FIXTURE = Path(__file__).parent / "data" / "limit_studies.jsonl"
 IDENTITIES = [identity.value for identity in IDENTITY_TABLE] + ["operator"]
+STUDIES = list(LIMIT_TABLE)
+
+
+def _invoke(args: list[str]) -> dict:
+    result = CliRunner().invoke(main, args)
+    records = [json.loads(line) for line in result.output.splitlines()]
+    for rec in records:
+        rec.pop("timestamp", None)
+        rec.pop("wall_time", None)
+    return {"exit_code": result.exit_code, "records": records}
 
 
 def _run(identity: str) -> dict:
     args = ["verify", "--identity", identity, "--seed", "0"]
     if identity != "operator":
         args += ["--random", "2"]
-    result = CliRunner().invoke(main, args)
-    records = [json.loads(line) for line in result.output.splitlines()]
-    for rec in records:
-        rec.pop("timestamp", None)
-        rec.pop("wall_time", None)
-    return {"identity": identity, "exit_code": result.exit_code,
-            "records": records}
+    return {"identity": identity, **_invoke(args)}
 
 
-def _stored() -> dict:
-    runs = [json.loads(line) for line in FIXTURE.read_text().splitlines()]
-    return {run["identity"]: run for run in runs}
+def _run_study(study: str) -> dict:
+    return {"study": study,
+            **_invoke(["limit-study", study, "--seed", "0"])}
+
+
+def _stored(fixture: Path, key: str) -> dict:
+    runs = [json.loads(line) for line in fixture.read_text().splitlines()]
+    return {run[key]: run for run in runs}
 
 
 @pytest.mark.parametrize("identity", IDENTITIES)
 def test_report_matches_snapshot(identity):
-    assert _run(identity) == _stored()[identity]
+    assert _run(identity) == _stored(FIXTURE, "identity")[identity]
+
+
+@pytest.mark.parametrize("study", STUDIES)
+def test_limit_study_matches_snapshot(study):
+    assert _run_study(study) == _stored(LIMIT_FIXTURE, "study")[study]
 
 
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text("".join(json.dumps(_run(identity)) + "\n"
-                               for identity in IDENTITIES))
-    print(f"wrote {FIXTURE}")
+    for path, runs in ((FIXTURE, map(_run, IDENTITIES)),
+                       (LIMIT_FIXTURE, map(_run_study, STUDIES))):
+        path.write_text("".join(json.dumps(run) + "\n" for run in runs))
+        print(f"wrote {path}")
