@@ -94,11 +94,20 @@ IDENTITY_TABLE = {
 }
 
 
-# limit-study kind -> (seed -> LimitStudyResult)
+@dataclass(frozen=True)
+class LimitRow:
+    """How the ``limit-study`` command runs one study: ``run(seed)``, and
+    whether the study reads the seed at all (``seeded``); a study that
+    does not records ``"seed": null`` in its header."""
+
+    run: Callable[[int], idn.LimitStudyResult]
+    seeded: bool
+
+
 LIMIT_TABLE = {
-    "q-to-1": lambda seed: idn.limit_study_q_to_1(
-        krn.sample_gamma(np.random.default_rng(seed))),
-    "omega": lambda seed: idn.limit_study_omega(),
+    "q-to-1": LimitRow(lambda seed: idn.limit_study_q_to_1(
+        krn.sample_gamma(np.random.default_rng(seed))), seeded=True),
+    "omega": LimitRow(lambda seed: idn.limit_study_omega(), seeded=False),
 }
 
 
@@ -254,8 +263,10 @@ def verify(identity, params_path, random_count, seed, tol, convention,
 @click.option("--report", "report_path", type=click.Path(), default=None)
 def limit_study(kind, seed, report_path) -> None:
     """Run a convergence study toward one of the two gamma-function limits."""
-    result = LIMIT_TABLE[kind](seed)
-    lines = [_run_header("limit-study", study=kind, seed=seed,
+    row = LIMIT_TABLE[kind]
+    result = row.run(seed)
+    lines = [_run_header("limit-study", study=kind,
+                         seed=seed if row.seeded else None,
                          parameters=result.parameters),
              json.dumps({"kind": "study", **result.to_record()})]
     _emit(lines, report_path)

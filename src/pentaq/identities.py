@@ -35,7 +35,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -55,7 +55,6 @@ from .kernels import (
     IndexParams,
     b_beta,
     b_gamma_disc,
-    b_hyp,
     b_idx,
 )
 from .special_functions import (
@@ -209,8 +208,8 @@ def _make_report(identity_id: IdentityId, parameters: dict, lhs: complex,
     )
 
 
-# steps a chain runs past the term that extends it: one step call per level
-# covers the next 8 terms of that direction and parity
+# steps a chain runs past the term that extends it: one step call per engine
+# call covers the next 8 terms of that direction and parity
 _LOOK_AHEAD = 8
 
 
@@ -218,23 +217,25 @@ class _TermGrid:
     """Every m-term of a sum-integral's integrand on the nested levels of
     its quadrature engine, for one LHS evaluation.
 
-    Level j is the set of new nodes the engine passes on its j-th call, the
-    same for every term, and values are kept per (m, j).  Only the terms
-    m = 0 and m = 1 are evaluated directly, by ``direct(m)``: they seed the
-    even and the odd chain.  Term m > 1 is term m - 2 times step(m - 2),
-    and term m < 0 is term m + 2 divided by step(m), where step(m) is term
-    m + 2 over term m at the level's nodes; so term -(2k + 1) is k + 1
-    steps from term 1.  ``step(ms, nodes)`` takes an array of K values of
-    m and returns the (K, n) array of their steps.
+    The engine's c-th call passes the new nodes of levels 0 and 1 together
+    (c = 0) or of level c + 1, the same for every term, and values are
+    kept per (m, c).  Only the terms m = 0 and m = 1 are evaluated
+    directly, by ``direct(m)``: they seed the even and the odd chain.
+    Term m > 1 is term m - 2 times step(m - 2), and term m < 0 is term
+    m + 2 divided by step(m), where step(m) is term m + 2 over term m at
+    the call's nodes; so term -(2k + 1) is k + 1 steps from term 1.
+    ``step(ms, nodes)`` takes an array of K values of m and returns the
+    (K, n) array of their steps.  So the seeds and the chains of the first
+    two levels are built once, on their nodes together.
 
-    A term missing at a level extends its half-chain (its parity, on its
+    A term missing at a call extends its half-chain (its parity, on its
     side of the seed) from the nearest term known there, in one step call
     and one ``np.multiply.accumulate`` (upward) or ``np.divide.accumulate``
     (downward) over the rows.  Both keep the left-to-right order of the
     one-step recurrence; only the last bit of a complex product can differ
     from an elementwise ``v * step``, which numpy rounds in another loop.
     The chain runs _LOOK_AHEAD steps past the missing term.  Those rows
-    cost rational arithmetic only, on a level whose seed is evaluated
+    cost rational arithmetic only, on a call whose seed is evaluated
     anyway; rows the m-sum never asks for change no other row.
     """
 
@@ -245,15 +246,15 @@ class _TermGrid:
         self._values: dict[tuple[int, int], np.ndarray] = {}
 
     def integrand(self, m_sum: int):
-        """Term ``m_sum`` as an integrand for the engine, whose j-th call
-        passes level j's new nodes."""
+        """Term ``m_sum`` as an integrand for the engine, whose c-th call
+        passes the new nodes of call c."""
         calls = itertools.count()
 
         def f(nodes):
-            level = next(calls)
-            if level == len(self._nodes):
+            call = next(calls)
+            if call == len(self._nodes):
                 self._nodes.append(nodes)
-            return self._term(m_sum, level)
+            return self._term(m_sum, call)
 
         return f
 
@@ -282,29 +283,29 @@ class _TermGrid:
             converged=outer.converged and all(res.converged
                                               for res in inner))
 
-    def _term(self, m_sum: int, level: int) -> np.ndarray:
-        if (m_sum, level) not in self._values:
-            self._extend(m_sum, level)
-        return self._values[m_sum, level]
+    def _term(self, m_sum: int, call: int) -> np.ndarray:
+        if (m_sum, call) not in self._values:
+            self._extend(m_sum, call)
+        return self._values[m_sum, call]
 
-    def _extend(self, m_sum: int, level: int) -> None:
-        """Fill the chain of ``m_sum`` at ``level`` through m_sum and
+    def _extend(self, m_sum: int, call: int) -> None:
+        """Fill the chain of ``m_sum`` at ``call`` through m_sum and
         _LOOK_AHEAD steps beyond."""
-        nodes = self._nodes[level]
+        nodes = self._nodes[call]
         seed = m_sum % 2
-        if (seed, level) not in self._values:
-            self._values[seed, level] = self._direct[seed](nodes)
+        if (seed, call) not in self._values:
+            self._values[seed, call] = self._direct[seed](nodes)
         if m_sum == seed:
             return
         sign = 1 if m_sum > seed else -1
         stride = 2 * sign
         known = m_sum
-        while (known, level) not in self._values:
+        while (known, call) not in self._values:
             known -= stride
         ms = np.arange(known + stride, m_sum + (_LOOK_AHEAD + 1) * stride,
                        stride)
         rows = np.empty((len(ms) + 1, len(nodes)), dtype=complex)
-        rows[0] = self._values[known, level]
+        rows[0] = self._values[known, call]
         if sign > 0:   # term m = term m - 2 times step(m - 2)
             rows[1:] = self._step(ms - 2, nodes)
             np.multiply.accumulate(rows, axis=0, out=rows)
@@ -312,7 +313,7 @@ class _TermGrid:
             rows[1:] = self._step(ms, nodes)
             np.divide.accumulate(rows, axis=0, out=rows)
         for m, row in zip(ms.tolist(), rows[1:]):
-            self._values[m, level] = row
+            self._values[m, call] = row
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +362,34 @@ def verify_classical_pentagon(x: float, y: float) -> VerificationReport:
 # hyperbolic pentagon
 # ---------------------------------------------------------------------------
 
-def _hyperbolic_integrand(p: HyperbolicParams):
-    """Vectorized integrand of the hyperbolic identity along u = i t."""
+@lru_cache(maxsize=1)
+def _hyperbolic_scalars(p: HyperbolicParams) -> np.ndarray:
+    """The logs of the nine hyperbolic gammas of a point that do not depend
+    on u, from one log_hyperbolic_gamma call: the centre's three
+    gamma^(2)(a_i + b_i), then the product side's x_1, x_2, y_1, y_2,
+    x_1 + y_1 and x_2 + y_2, with x = (a_1 + b_2, a_2 + b_1) and
+    y = (a_3 + b_1, a_3 + b_2).  At this size the call costs its fixed
+    overhead, not its values, so the two sides share one: the first side
+    evaluated makes it, and the other reads the cached result.
+    verify_pentagon_hyperbolic clears the cache before its two sides, so
+    that every verification makes exactly one call."""
+    a, b = p.a, p.b
+    x = [a[0] + b[1], a[1] + b[0]]
+    y = [a[2] + b[0], a[2] + b[1]]
+    args = np.array([a[0] + b[0], a[1] + b[1], a[2] + b[2], *x, *y,
+                     x[0] + y[0], x[1] + y[1]])
+    logs = log_hyperbolic_gamma(args, p.omega)
+    logs.flags.writeable = False
+    return logs
+
+
+def _hyperbolic_integrand(p: HyperbolicParams, center: complex):
+    """Vectorized integrand of the hyperbolic identity along u = i t;
+    ``center`` is the log of the product of gamma^(2)(a_i + b_i)."""
     om = p.omega
     measure = 1.0 / np.sqrt(om.omega1 * om.omega2)
     a = np.asarray(p.a, dtype=complex)
     b = np.asarray(p.b, dtype=complex)
-    center = sum(log_hyperbolic_gamma(a + b, om))
     # the six kernels a_0 + u, b_0 - u, a_1 + u, ... as rows of one call
     shift = np.stack([a, b], axis=1).reshape(6, 1)
     sign = np.tile([1.0, -1.0], 3).reshape(6, 1)
@@ -409,17 +431,23 @@ def eval_hyperbolic_lhs(p: HyperbolicParams,
     e^{-124} |f(0)|.  HyperbolicParams admits only kappa > 0, where the
     integral converges, and owns it as ``p.kappa``.  Beyond the window the
     exponentials of the integrand may overflow, so the nodes stay inside it.
+
+    The centre's three hyperbolic gammas come from the point's one scalar
+    call (:func:`_hyperbolic_scalars`), shared with the product side.
     """
-    return integrate_real_line(_hyperbolic_integrand(p), policy,
+    center = sum(_hyperbolic_scalars(p)[:3])
+    return integrate_real_line(_hyperbolic_integrand(p, center), policy,
                                u_max=160 / p.kappa)
 
 
 def eval_hyperbolic_rhs(p: HyperbolicParams) -> complex:
-    """Two-kernel product side of the hyperbolic identity: both kernels,
-    six hyperbolic gammas, in one b_hyp call."""
-    a, b = p.a, p.b
-    k1, k2 = b_hyp(np.array([a[0] + b[1], a[1] + b[0]]),
-                   np.array([a[2] + b[0], a[2] + b[1]]), p.omega)
+    """Two-kernel product side of the hyperbolic identity,
+    B(x_1, y_1) B(x_2, y_2) with B(x, y) = gamma^(2)(x) gamma^(2)(y) /
+    gamma^(2)(x + y) as in :func:`pentaq.kernels.b_hyp`, from the point's
+    one scalar call (:func:`_hyperbolic_scalars`), shared with the
+    integral side."""
+    lx, ly, lxy = _hyperbolic_scalars(p)[3:].reshape(3, 2)
+    k1, k2 = np.exp(lx + ly - lxy)
     return complex(k1 * k2)
 
 
@@ -427,6 +455,7 @@ def verify_pentagon_hyperbolic(p: HyperbolicParams,
                                policy: TruncationPolicy = DEFAULT_POLICY,
                                ) -> VerificationReport:
     started = time.perf_counter()
+    _hyperbolic_scalars.cache_clear()
     lhs_result = eval_hyperbolic_lhs(p, policy)
     rhs = eval_hyperbolic_rhs(p)
     return _make_report(
@@ -451,12 +480,15 @@ def _index_term_integrand(p: IndexParams, m_sum: int, signed: bool):
     surviving genuine poles stay strictly off the circle because every stored
     exponent is positive.
 
-    Each level's nodes take one qpoch_inf call on a (12, n) array: rows
-    0-5 are the numerator arguments q^{1+k_i/2} / (a_i z) and
-    q^{1+l_i/2} z / b_i, rows 6-11 the denominator arguments q^{k_i/2} a_i z
-    and q^{l_i/2} b_i / z (k_i = n_i + m, l_i = m_i - m), and the integrand
-    is the scalar prefactor times z^{-3m} prod(num rows) / prod(den rows).
-    The prefactor's six Pochhammer symbols are one more call.
+    Each engine call's nodes (levels 0 and 1 together on the first) take
+    one qpoch_inf call on a (12, n) array: rows 0-5 are the numerator
+    arguments q^{1+k_i/2} / (a_i z) and q^{1+l_i/2} z / b_i, rows 6-11 the
+    denominator arguments q^{k_i/2} a_i z and q^{l_i/2} b_i / z
+    (k_i = n_i + m, l_i = m_i - m), and the integrand is the scalar
+    prefactor times z^{-3m} prod(num rows) / prod(den rows), with the rows
+    multiplied one at a time, so that a node's value does not depend on the
+    other nodes of its call.  The prefactor's six Pochhammer symbols are
+    one more call.
     """
     q, a, b = p.q, np.array(p.a), np.array(p.b)
     n, m = np.array(p.n), np.array(p.m)
@@ -476,8 +508,9 @@ def _index_term_integrand(p: IndexParams, m_sum: int, signed: bool):
     def f(z):
         z = np.asarray(z, dtype=complex)
         vals = qpoch_inf(coef * np.where(by_z, z, 1 / z), q)
-        return (scalar * z ** (-3 * m_sum) * np.prod(vals[:6], axis=0)
-                / np.prod(vals[6:], axis=0))
+        # row by row, as np.prod does on two or more nodes but not on one
+        return (scalar * z ** (-3 * m_sum) * math.prod(vals[:6])
+                / math.prod(vals[6:]))
 
     return f
 
@@ -518,8 +551,9 @@ def eval_index_lhs(p: IndexParams, policy: TruncationPolicy = DEFAULT_POLICY,
     ``convention="resolved"`` weights term m by (-1)^m; ``"printed"`` uses
     weight +1 and reproduces the deficit of the unsigned form.
 
-    All terms share one node set per level of :func:`integrate_unit_circle`
-    (a :class:`_TermGrid`).  The terms m = 0 and m = 1 are evaluated
+    All terms share one node set per call of :func:`integrate_unit_circle`
+    (a :class:`_TermGrid`), whose first call covers levels 0 and 1
+    together.  The terms m = 0 and m = 1 are evaluated
     directly; every other term is built from its neighbour m -+ 2 at the
     same nodes.  From m to m + 2 each Pochhammer argument moves by one
     power of q, and (xq; q)_inf = (x; q)_inf / (1 - x), so the integrand is
@@ -536,10 +570,10 @@ def eval_index_lhs(p: IndexParams, policy: TruncationPolicy = DEFAULT_POLICY,
     steps from term 1.  The Pochhammer products are thus computed for two
     terms only, and at large |m|, where their ratios overflow to inf/inf,
     the terms stay finite.  Each of the two takes one qpoch_inf call per
-    level, on the (12, n) array of its six numerator and six denominator
-    arguments at the level's n nodes, and one for its scalar prefactor
-    (see _index_term_integrand).  A chain missing a term at a level is
-    extended by one step call on all the m it needs and the next
+    engine call, on the (12, n) array of its six numerator and six
+    denominator arguments at the call's n nodes, and one for its scalar
+    prefactor (see _index_term_integrand).  A chain missing a term at a
+    call is extended by one step call on all the m it needs and the next
     _LOOK_AHEAD beyond, about a dozen calls per LHS.
 
     q, a_i = q^{s_i} and b_i = q^{t_i} are real (IndexParams keeps
@@ -642,24 +676,33 @@ def _gamma_term_integrand(p: GammaParams, m_sum: int, signed: bool):
     """Vectorized real-line integrand (SPHERE kernels) for one m-term.
 
     Each call takes one log_gamma call on a (12, n) array: rows 0-2 are
-    a_i + k_i, rows 3-5 1 - a_i + k_i, rows 6-8 b_i + l_i and rows 9-11
-    1 - b_i + l_i (a_i = alpha_i + i u, b_i = beta_i - i u,
+    a_i + k_i, rows 3-5 b_i + l_i, rows 6-8 1 - b_i + l_i and rows 9-11
+    1 - a_i + k_i (a_i = alpha_i + i u, b_i = beta_i - i u,
     k_i = (n_i + m)/2, l_i = (m_i - m)/2), and the integrand is the weight
-    times exp of rows 0-2 and 6-8 minus rows 3-5 and 9-11.
+    times exp of the sum of rows 0-5 minus rows 6-11.  Row r and row r + 6
+    both move by +i u, or both by -i u, so their logs grow alike,
+    -pi |u| / 2 + i (u log|u| - u) up to a sign, and their difference is
+    O(log|u|): the rows are subtracted in these pairs first, then the six
+    differences added one at a time.  Summing the six numerator logs first
+    adds logs of magnitude |u| log|u|, and at the endpoint node
+    u = -1.6e16 the rounding of such a sum (an ulp of 1e17 is 16) left the
+    real part tens too large, the value e^{45} times too large.  Each step
+    is elementwise, so a node's value does not depend on the other nodes
+    of its call (a matrix product's rounding depends on a node's column).
     """
     alpha, beta = np.array(p.alpha), np.array(p.beta)
     k = (np.array(p.n) + m_sum) / 2
     l = (np.array(p.m) - m_sum) / 2
     # each row is its constant plus its sign times i u
-    const = np.concatenate([alpha + k, 1 - alpha + k,
-                            beta + l, 1 - beta + l])[:, None]
-    sign = np.repeat([1.0, -1.0, -1.0, 1.0], 3)[:, None]
-    combine = np.repeat([1.0, -1.0, 1.0, -1.0], 3)
+    const = np.concatenate([alpha + k, beta + l,
+                            1 - beta + l, 1 - alpha + k])[:, None]
+    sign = np.repeat([1.0, -1.0, 1.0, -1.0], 3)[:, None]
     weight = ((-1.0) ** m_sum if signed else 1.0) / (2 * np.pi)
 
     def f(u):
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        return weight * np.exp(combine @ log_gamma(const + sign * (1j * u)))
+        rows = log_gamma(const + sign * (1j * u))
+        return weight * np.exp(sum(rows[:6] - rows[6:]))
 
     return f
 
@@ -702,10 +745,11 @@ def eval_gamma_lhs(p: GammaParams, policy: TruncationPolicy = DEFAULT_POLICY,
     (enforced by GammaParams) no integrand pole ever touches the real line,
     for any zero-sum spins, so the straight contour is always correct.
 
-    All terms share one node set per level of :func:`integrate_real_line`
-    (a :class:`_TermGrid`), on the scale u = _GAMMA_SCALE * t.  From m to
-    m + 2 every gamma argument moves by one, and Gamma(z + 1) = z Gamma(z),
-    so the integrand is multiplied by
+    All terms share one node set per call of :func:`integrate_real_line`
+    (a :class:`_TermGrid`; the first call covers levels 0 and 1 together),
+    on the scale u = _GAMMA_SCALE * t.  From m to m + 2 every gamma
+    argument moves by one, and Gamma(z + 1) = z Gamma(z), so the integrand
+    is multiplied by
 
         prod_i (a_i + k_i)(l_i - b_i) / ((1 - a_i + k_i)(b_i + l_i - 1)),
 
@@ -716,8 +760,8 @@ def eval_gamma_lhs(p: GammaParams, policy: TruncationPolicy = DEFAULT_POLICY,
     so term m is |m|/2 steps from a direct value, and term -(2k + 1) is
     k + 1 steps from term 1; the terms that carry most of the sum are exact
     to rounding.  So ``log_gamma`` runs for two terms only, one call per
-    level on a (12, n) array, and every other term costs one rational step
-    per node: a chain missing a term at a level is extended by one step
+    engine call on a (12, n) array, and every other term costs one rational
+    step per node: a chain missing a term at a call is extended by one step
     call on all the m it needs and the next _LOOK_AHEAD beyond, about a
     dozen calls per LHS.
 

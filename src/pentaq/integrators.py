@@ -95,24 +95,29 @@ class QuadratureResult:
 
 
 @functools.cache
-def _level(refinements: int, conjugate_symmetric: bool):
-    """One level of :func:`_nested_trapezoid`, computed once and shared by
-    every integrand: its new nodes x = k/n, their weights under
-    ``conjugate_symmetric`` (None without it), their images on the unit
-    circle, z = exp(2 pi i x), and their :func:`_line_images` on the whole
-    line (theta_max = pi/2), as read-only arrays."""
-    n = _FIRST_NODES << refinements
-    k = np.arange(1, n, 2) if refinements else np.arange(n)
-    weights = None
-    if conjugate_symmetric:
-        k = k[2 * k <= n]
-        weights = np.where((k == 0) | (2 * k == n), 1.0, 2.0)
-    x = k / n
+def _level(call: int, conjugate_symmetric: bool):
+    """The new nodes of :func:`_nested_trapezoid`'s ``call``-th integrand
+    call, computed once and shared by every integrand: levels 0 and 1 on
+    call 0, level call + 1 on every later call.  Returns the nodes x = k/n,
+    their weights under ``conjugate_symmetric`` (None without it), their
+    images on the unit circle, z = exp(2 pi i x), their
+    :func:`_line_images` on the whole line (theta_max = pi/2), as read-only
+    arrays, and the positions in x at which each level's nodes end."""
+    xs, ws = [], []
+    for refinements in (0, 1) if call == 0 else (call + 1,):
+        n = _FIRST_NODES << refinements
+        k = np.arange(1, n, 2) if refinements else np.arange(n)
+        if conjugate_symmetric:
+            k = k[2 * k <= n]
+            ws.append(np.where((k == 0) | (2 * k == n), 1.0, 2.0))
+        xs.append(k / n)
+    x = np.concatenate(xs)
+    weights = np.concatenate(ws) if conjugate_symmetric else None
     z = np.exp(2j * np.pi * x)
     line = _line_images(x, math.atan(math.inf))
     for a in (x, z, *line):
         a.flags.writeable = False
-    return x, weights, z, line
+    return x, weights, z, line, np.cumsum([len(a) for a in xs]).tolist()
 
 
 def _line_images(x, theta_max: float):
@@ -125,8 +130,8 @@ def _line_images(x, theta_max: float):
 def _nested_trapezoid(g, policy: TruncationPolicy,
                       conjugate_symmetric: bool = False) -> QuadratureResult:
     """Mean of a 1-periodic function by the trapezoid rule on the nodes k/n,
-    n = 64, 128, 256, ...; ``g(j)`` returns its values at level j's new
-    nodes, ``_level(j, conjugate_symmetric)[0]``.
+    n = 64, 128, 256, ...; ``g(c)`` returns its values at the new nodes of
+    call c, ``_level(c, conjugate_symmetric)[0]``.
 
     Level 0 evaluates all 64 nodes; each doubling to 2n evaluates only the
     n new odd nodes (2k + 1)/2n and adds their sum to the running total,
@@ -143,22 +148,28 @@ def _nested_trapezoid(g, policy: TruncationPolicy,
     2 Re g, and the value is real.  ``evaluations`` still counts the rule's
     nodes, mirrors included.
 
-    Call contract: ``g`` is called with j = 0, 1, ... in turn.  Level j's
-    new nodes are, in increasing order, the nodes of 64 * 2**j that level
-    j - 1 lacks, or with ``conjugate_symmetric`` those of them in
-    [0, 1/2].  Node 0 is evaluated like any other.  The circle's and the
-    whole line's images of each level are cached in :func:`_level`, so
-    every term of a sum-integral shares them.
+    Call contract: ``g`` is called with c = 0, 1, ... in turn.  Level 0
+    never stops the rule (there is no level to compare it with), and
+    ``TruncationPolicy`` allows at least one doubling, so call 0 covers
+    levels 0 and 1 together: the 64 nodes, then the 64 odd nodes of 128.
+    Call c >= 1 covers level c + 1 alone.  Level j's new nodes are, in
+    increasing order, the nodes of 64 * 2**j that level j - 1 lacks, or
+    with ``conjugate_symmetric`` those of them in [0, 1/2] (33 + 32 nodes
+    on call 0).  Node 0 is evaluated like any other.  The values are
+    summed level by level, so the result is that of one call per level
+    whenever ``g``'s value at a node does not depend on the other nodes of
+    its call.  The circle's and the whole line's images of each call are
+    cached in :func:`_level`, so every term of a sum-integral shares them.
     """
     # level 0 has no predecessor; its difference from nan never converges
     total, prev = 0j, math.nan
-    for refinements in range(policy.max_refinements + 1):
+    levels = _level_values(g, policy, conjugate_symmetric)
+    for refinements, values, weights in levels:
         n = _FIRST_NODES << refinements
-        weights = _level(refinements, conjugate_symmetric)[1]
         if conjugate_symmetric:
-            total += float(weights @ g(refinements).real)
+            total += float(weights @ values.real)
         else:
-            total += complex(np.sum(g(refinements)))
+            total += complex(np.sum(values))
         value = total / n
         if not np.isfinite(value):
             raise ConvergenceError(f"quadrature level on {n} nodes is {value}")
@@ -176,6 +187,22 @@ def _nested_trapezoid(g, policy: TruncationPolicy,
         tail_estimate=0.0,
         converged=converged,
     )
+
+
+def _level_values(g, policy: TruncationPolicy, conjugate_symmetric: bool):
+    """Each level's number, values and weights in turn, for levels 0 to
+    ``policy.max_refinements``: one ``g`` call on levels 0 and 1 together,
+    then one per level."""
+    refinements = 0
+    for call in range(policy.max_refinements):
+        values = g(call)
+        _, weights, _, _, ends = _level(call, conjugate_symmetric)
+        start = 0
+        for end in ends:
+            yield (refinements, values[start:end],
+                   None if weights is None else weights[start:end])
+            refinements += 1
+            start = end
 
 
 def integrate_real_line(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
@@ -206,14 +233,15 @@ def integrate_real_line(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
     u > 0 are taken as conjugates, and the value is real.
 
     The nodes depend on ``u_max`` alone, and the integrand is evaluated at
-    them only: on its j-th call the engine passes ``integrand`` the images
-    u of level j's new nodes (those with u <= 0 under
+    them only: on its c-th call the engine passes ``integrand`` the images
+    u of call c's new nodes (:func:`_nested_trapezoid`: levels 0 and 1 on
+    call 0, level c + 1 after; those with u <= 0 under
     ``conjugate_symmetric``) as one array.
     """
     theta_max = math.atan(u_max)
 
-    def g(refinements):
-        x, _, _, line = _level(refinements, conjugate_symmetric)
+    def g(call):
+        x, _, _, line, _ = _level(call, conjugate_symmetric)
         # a finite window maps per call: a cache keyed by u_max would grow
         # with each point
         u, weight = line if u_max == math.inf else _line_images(x, theta_max)
@@ -236,15 +264,15 @@ def integrate_unit_circle(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
     real.  Then only the roots with Im z >= 0 are evaluated, their mirrors
     are taken as conjugates, and the value is real.
 
-    Call contract: on its j-th call (j = 0, 1, ...) the engine passes
-    ``integrand`` level j's new nodes, the 64 roots of unity and then the n
-    new odd roots exp(2 pi i (2k + 1) / 2n), in that order, as one array
+    Call contract: on its c-th call (c = 0, 1, ...) the engine passes
+    ``integrand`` call c's new nodes as one array: on call 0 the 64 roots
+    of unity followed by the 64 odd roots of 128, then on call c the n new
+    odd roots exp(2 pi i (2k + 1) / 2n) of level c + 1, n = 64 * 2**c
     (under ``conjugate_symmetric`` only those with Im z >= 0); a caller may
-    build its values from its own values at level j.
+    build its values from its own values at call c.
     """
     return _nested_trapezoid(
-        lambda refinements: integrand(_level(refinements,
-                                             conjugate_symmetric)[2]),
+        lambda call: integrand(_level(call, conjugate_symmetric)[2]),
         policy, conjugate_symmetric)
 
 

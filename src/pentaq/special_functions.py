@@ -6,13 +6,18 @@ dilogarithm.  Everything multiplicative is available in log-space so that
 products of dozens of gamma-type factors never overflow double precision.
 
 All functions accept numpy arrays where it makes sense (the identity
-evaluators batch whole contour grids through single calls) and are pure:
-no global state, safe to call from multiple threads.
+evaluators batch whole contour grids through single calls) and are pure
+functions of their arguments, safe to call from multiple threads.  The
+module's one piece of state is a bounded cache of read-only per-nome
+tables, the powers q^k and series coefficients of the q-Pochhammer core
+(:func:`_nome_table`); a table is the same whether built or reused, so no
+value depends on the cache.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +49,10 @@ EPS_MODULAR = 1e-3
 # _MAX_FACTORS head factors and series terms.
 _PRODUCT_TAIL_TOL = 1e-16
 _MAX_FACTORS = 200_000
+_TAIL_LOG = -math.log(_PRODUCT_TAIL_TOL)
+# heads longer than this build their _nome_table per call: a cached table
+# then takes at most 1025 powers and 1025 coefficients
+_MAX_CACHED_HEAD = 1024
 # head factors are multiplied in blocks of _LOG_BLOCK, few enough that no
 # block product over- or underflows
 _LOG_BLOCK = 16
@@ -167,14 +176,52 @@ def _head_series(x, q: complex, a_max: float = 1.0):
     gave 7.8e-12.  An element's value depends on J and q only, as long
     as x has two or more elements: numpy reduces the
     leading axis of a (rows, n) array row by row for n >= 2, but not for
-    n = 1.  Raises ConvergenceError when J + N would exceed _MAX_FACTORS
-    (L below about 4e-9, or a_max beyond |q|^{-200,000}).
+    n = 1.  The powers and coefficients depend on q and J alone
+    (:func:`_nome_table`), so a call that repeats a nome pays only the
+    head and the series.  Raises ConvergenceError when J + N would exceed
+    _MAX_FACTORS (L below about 4e-9, or a_max beyond |q|^{-200,000}).
     """
-    T = -math.log(_PRODUCT_TAIL_TOL)
     L = -math.log(abs(q))
-    h = math.ceil(math.sqrt(T / L))
-    n_terms = math.ceil(T / (h * L))
-    J = h + (math.ceil(math.log(a_max) / L) if a_max > 1 else 0)
+    J = _least_head(L) + (math.ceil(math.log(a_max) / L) if a_max > 1 else 0)
+    # a long head builds its table for the call alone, so that the cache
+    # holds short tables only (near q = 1 one table takes megabytes)
+    table = _nome_table if J <= _MAX_CACHED_HEAD else _nome_table.__wrapped__
+    powers, coef = table(q, J)
+
+    def blocks():   # lazily: one block's factors in memory at a time
+        for start in range(0, J, _LOG_BLOCK):
+            factors = np.multiply.outer(
+                powers[start:min(start + _LOG_BLOCK, J)], x)
+            np.subtract(1.0, factors, out=factors)
+            yield np.multiply.reduce(factors, axis=0)
+
+    y = x * powers[J]
+    series = coef[0] * y
+    for c in coef[1:]:
+        series += c
+        series *= y
+    return blocks(), series
+
+
+def _least_head(L: float) -> int:
+    """h = ceil(sqrt(T / L)), L = -log|q|: the head length at which head
+    and series cost least (:func:`_head_series`)."""
+    return math.ceil(math.sqrt(_TAIL_LOG / L))
+
+
+@functools.lru_cache(maxsize=64)
+def _nome_table(q: complex, J: int):
+    """The parts of :func:`_head_series` that depend on the nome q and the
+    head length J alone: the powers q^0 .. q^max(J, N) as a read-only
+    array, and the series coefficients 1 / (k (1 - q^k)), k = N .. 1, in
+    Horner order as a tuple.  At the sizes the identities use, building
+    them costs about 25 small numpy operations, more than the head and
+    the series themselves, so one bounded cache keeps the tables of the
+    last 64 (q, J) pairs: a hyperbolic point uses two nomes, an index
+    point one nome with a few head lengths.  The values do not depend on
+    the cache: a table is the same whether built or reused."""
+    L = -math.log(abs(q))
+    n_terms = math.ceil(_TAIL_LOG / (_least_head(L) * L))
     if J + n_terms > _MAX_FACTORS:
         raise ConvergenceError(
             f"(a;q)_inf needs {J} factors and {n_terms} series terms at "
@@ -204,13 +251,6 @@ def _head_series(x, q: complex, a_max: float = 1.0):
             powers[m:2 * m] = powers[:min(m, n - m)] * q_m
             m, q_m = 2 * m, q_m * q_m
 
-    def blocks():   # lazily: one block's factors in memory at a time
-        for start in range(0, J, _LOG_BLOCK):
-            factors = np.multiply.outer(
-                powers[start:min(start + _LOG_BLOCK, J)], x)
-            np.subtract(1.0, factors, out=factors)
-            yield np.multiply.reduce(factors, axis=0)
-
     # the series coefficients 1 / (k (1 - q^k)), k = 1..N
     k = np.arange(1, n_terms + 1)
     q_k = powers[1:n_terms + 1]
@@ -223,12 +263,8 @@ def _head_series(x, q: complex, a_max: float = 1.0):
         if flip:
             one_minus[::2] = 1 - q_k[::2]
     coef = 1.0 / (k * one_minus)
-    y = x * powers[J]
-    series = coef[-1] * y
-    for c in coef[-2::-1]:
-        series += c
-        series *= y
-    return blocks(), series
+    powers.flags.writeable = False
+    return powers, tuple(coef[::-1].tolist())
 
 
 def qpoch_inf(a, q):

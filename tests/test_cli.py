@@ -204,9 +204,26 @@ class TestLimitStudy:
         assert any(r.get("passed") for r in records)
 
     def test_table_runs_every_limit_study(self):
-        kinds = {study(0).kind for study in LIMIT_TABLE.values()}
+        kinds = {study.run(0).kind for study in LIMIT_TABLE.values()}
         assert kinds == {i for i in IdentityId
                          if i.value.startswith("limit-")}
+
+    @pytest.mark.parametrize("kind", list(LIMIT_TABLE))
+    def test_header_seed_only_where_read(self, runner, kind):
+        # a study that reads no seed records null, and its rows do not
+        # change with --seed
+        outputs = [jsonl(runner.invoke(main, ["limit-study", kind,
+                                              "--seed", seed]).output)
+                   for seed in ("0", "5")]
+        header = outputs[1][0]
+        if LIMIT_TABLE[kind].seeded:
+            assert header["seed"] == 5
+        else:
+            assert header["seed"] is None
+            for out in outputs:
+                out[0].pop("timestamp")
+                out[1].pop("wall_time", None)
+            assert outputs[0] == outputs[1]
 
 
 class TestExpandOperator:

@@ -1,8 +1,8 @@
 """Source hygiene: every name a pentaq module imports or defines as private
 is used there, no module reaches for another module's private names, every
 name it exports is bound there, every function the benchmark's tracing
-shims rebind still exists, and the truncation policy stays with the
-engines."""
+shims rebind still exists, the truncation policy stays with the engines,
+and every cache is bounded."""
 
 import ast
 import importlib.util
@@ -175,6 +175,77 @@ def test_checker_flags_an_undefined_export():
                      "def f():\n    pass\n"
                      "__all__ = ['sep', '_A', 'f', 'g', 'C']\n")
     assert undefined_exports(tree) == ["C", "g"]
+
+
+# functools caches without a size bound, allowed only where the keys have a
+# finite domain: an engine call number (below max_refinements) and a flag,
+# and a power, a sign and a ring count (at most 2 x 512 per power)
+UNBOUNDED_CACHES = {"_level", "_power_law_fit"}
+CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
+
+
+def _cache_name(node) -> str | None:
+    """``cache``, ``lru_cache`` or ``cached_property`` if ``node`` names
+    one, bare or as an attribute of ``functools``."""
+    if isinstance(node, ast.Name) and node.id in CACHE_DECORATORS:
+        return node.id
+    if (isinstance(node, ast.Attribute) and node.attr in CACHE_DECORATORS
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"):
+        return node.attr
+    return None
+
+
+def _integer_maxsize(call: ast.Call) -> bool:
+    args = [kw.value for kw in call.keywords if kw.arg == "maxsize"]
+    args += call.args[:1]
+    return (len(args) == 1 and isinstance(args[0], ast.Constant)
+            and type(args[0].value) is int)
+
+
+def unbounded_caches(tree: ast.Module) -> list[str]:
+    """Every use of a functools cache that is neither ``lru_cache`` called
+    with an integer ``maxsize`` nor a bare ``cache`` decorating a function
+    of UNBOUNDED_CACHES."""
+    allowed = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and _cache_name(node.func) == "lru_cache"
+                and _integer_maxsize(node)):
+            allowed.add(id(node.func))
+        elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and node.name in UNBOUNDED_CACHES):
+            allowed |= {id(dec) for dec in node.decorator_list
+                        if _cache_name(dec) == "cache"}
+    return sorted(f"{_cache_name(node)} (line {node.lineno})"
+                  for node in ast.walk(tree)
+                  if _cache_name(node) and id(node) not in allowed)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_cache_is_bounded(path):
+    # a cache keyed per point must not grow with the points; peak memory
+    # is a benchmark gate
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert unbounded_caches(tree) == []
+
+
+def test_checker_flags_an_unbounded_cache():
+    tree = ast.parse("import functools\n"
+                     "from functools import cache, lru_cache\n"
+                     "@functools.lru_cache(maxsize=8)\ndef a(x): pass\n"
+                     "@lru_cache(16)\ndef b(x): pass\n"
+                     "@functools.cache\ndef _level(x): pass\n"
+                     "@cache\ndef per_point(p): pass\n"
+                     "@functools.lru_cache(maxsize=None)\ndef c(x): pass\n"
+                     "@lru_cache\ndef d(x): pass\n"
+                     "e = functools.lru_cache(maxsize=4)(abs)\n"
+                     "class K:\n    @functools.cached_property\n"
+                     "    def f(self): pass\n")
+    assert unbounded_caches(tree) == [
+        "cache (line 9)", "cached_property (line 17)", "lru_cache (line 11)",
+        "lru_cache (line 13)"]
 
 
 def test_traced_functions_exist():

@@ -18,6 +18,8 @@ from pentaq.identities import (
     _gate,
     _GAMMA_SCALE,
     _gamma_step,
+    _hyperbolic_integrand,
+    _hyperbolic_scalars,
     _index_step,
     _index_term_integrand,
     _TermGrid,
@@ -26,6 +28,7 @@ from pentaq.identities import (
     eval_beta_rhs,
     eval_gamma_lhs,
     eval_gamma_rhs,
+    eval_hyperbolic_rhs,
     eval_index_lhs,
     eval_index_rhs,
     gamma_reflection_factor,
@@ -42,6 +45,7 @@ from pentaq.kernels import (
     BetaParams,
     GammaParams,
     IndexParams,
+    b_hyp,
     sample_beta,
     sample_gamma,
     sample_hyperbolic,
@@ -133,18 +137,18 @@ class TestHyperbolic:
             base.rel_residual * abs(base.rhs), 1e-13)
 
     def test_one_gamma_call_per_batch(self, monkeypatch):
-        # log_hyperbolic_gamma takes one call per integrand call, one for
-        # the centre and one for the product side, whose two kernels share
-        # a b_hyp call, and each reaches log_qpoch_inf
-        # through its module binding: the benchmark's tracing rebinds the
-        # names, as done here
+        # log_hyperbolic_gamma takes one call per integrand call and one
+        # for the centre and the product side together, on every
+        # verification of a point, and each reaches log_qpoch_inf through
+        # its module binding: the benchmark's tracing rebinds the names, as
+        # done here
         import pentaq.identities as identities
         import pentaq.integrators as integrators
         import pentaq.kernels as kernels
         import pentaq.special_functions as special_functions
 
         modules = (special_functions, integrators, kernels, identities)
-        context = ["centre"]
+        context = ["scalars"]
         gamma_calls, qpoch_calls, integrand_calls = [], [], []
 
         def rebind(original, wrapper):
@@ -176,8 +180,8 @@ class TestHyperbolic:
             gamma_calls.append((context[-1], len(qpoch_calls) - before))
             return out
 
-        def counting_integrand(p):
-            f = within("integrand", integrand(p))
+        def counting_integrand(p, center):
+            f = within("integrand", integrand(p, center))
 
             def g(t):
                 integrand_calls.append(np.size(t))
@@ -186,22 +190,33 @@ class TestHyperbolic:
 
         rebind(log_qpoch_inf, counting_qpoch)
         rebind(log_hyperbolic_gamma, counting_gamma)
-        rebind(kernels.b_hyp, within("b_hyp", kernels.b_hyp))
         monkeypatch.setattr(identities, "_hyperbolic_integrand",
                             counting_integrand)
         p = sample_hyperbolic(np.random.default_rng(0), CRITERION_3_PAIRS[0])
-        rep = verify_pentagon_hyperbolic(p)
-        labels = [label for label, _ in gamma_calls]
-        assert labels.count("integrand") == len(integrand_calls)
-        assert labels.count("centre") == 1
-        assert labels.count("b_hyp") == 1
-        assert len(labels) == len(integrand_calls) + 2
-        assert [n for _, n in gamma_calls] == [2] * len(gamma_calls)
-        # six values per node, three for the centre and six for b_hyp
-        assert sum(qpoch_calls) == 2 * (6 * sum(integrand_calls) + 9)
-        engine = rep.truncation_diagnostics["integral"]["evaluations"]
-        # the engine's nodes and nothing else
-        assert sum(integrand_calls) == engine
+        # a second verification of the same point makes the same calls
+        for _ in range(2):
+            gamma_calls.clear()
+            qpoch_calls.clear()
+            integrand_calls.clear()
+            rep = verify_pentagon_hyperbolic(p)
+            labels = [label for label, _ in gamma_calls]
+            assert labels == ["scalars"] + ["integrand"] * len(integrand_calls)
+            assert [n for _, n in gamma_calls] == [2] * len(gamma_calls)
+            # six values per node, three for the centre and six for the
+            # product side
+            assert sum(qpoch_calls) == 2 * (6 * sum(integrand_calls) + 9)
+            engine = rep.truncation_diagnostics["integral"]["evaluations"]
+            # the engine's nodes and nothing else
+            assert sum(integrand_calls) == engine
+
+    def test_product_side_equals_two_b_hyp_kernels(self, rng, omega):
+        # the product side read off the point's shared scalar call is the
+        # two b_hyp kernels' product, bit for bit
+        p = sample_hyperbolic(rng, omega)
+        a, b = p.a, p.b
+        k1, k2 = b_hyp(np.array([a[0] + b[1], a[1] + b[0]]),
+                       np.array([a[2] + b[0], a[2] + b[1]]), omega)
+        assert eval_hyperbolic_rhs(p) == complex(k1 * k2)
 
     @pytest.mark.parametrize("omega", CRITERION_3_PAIRS + tuple(
         ModularPair(s * (1 + 1j), 1.0) for s in (0.05, 0.02, 0.015)))
@@ -434,9 +449,10 @@ class TestGamma:
 
     def test_log_gamma_only_in_direct_terms(self, monkeypatch):
         # only the terms m = 0, 1 call log_gamma, one (12, n) array per
-        # level on the u <= 0 half of its nodes (N/2 + 1, then N/4 * 2**j
-        # for N first nodes); each of their levels is evaluated once,
-        # whichever term needs it first
+        # engine call on the u <= 0 half of its nodes: levels 0 and 1
+        # together on the first call (N/2 + 1 + N/2 for N first nodes),
+        # then N/4 * 2**j for level j; each call's nodes are evaluated
+        # once, whichever term needs them first
         import pentaq.identities as identities
 
         direct_levels, calls = {}, []
@@ -461,10 +477,24 @@ class TestGamma:
         assert set(direct_levels) == {0, 1}
         N = _FIRST_NODES
         for sizes in direct_levels.values():
-            assert sizes == [N // 2 + 1] + [N // 4 * 2**j
-                                            for j in range(1, len(sizes))]
+            assert sizes == [N // 2 + 1 + N // 2] + [
+                N // 4 * 2**j for j in range(2, len(sizes) + 1)]
         assert sorted(calls) == sorted((12, n) for sizes in
                                        direct_levels.values() for n in sizes)
+
+    def test_endpoint_node_is_negligible(self):
+        # at u = -1.6e16 each log_gamma row is about 1e17, whose ulp is 16;
+        # subtracting the rows in pairs that grow alike keeps the weighted
+        # value near its true size, about 1e-31, where summing the six
+        # numerator and six denominator logs first gave up to 4.7e-9
+        line = _line_levels(1)[0][:1]
+        weight = _GAMMA_SCALE * np.pi * (line / _GAMMA_SCALE) ** 2
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            p = sample_gamma(rng)
+            for m in range(-3, 4):
+                value = _gamma_term_integrand(p, m, True)(line)[0]
+                assert abs(value * weight[0]) < 1e-20, (p, m)
 
     def test_product_side_in_one_call_per_factor(self, monkeypatch):
         # outside the sum-integral, one log_gamma call for each kernel of
@@ -577,6 +607,39 @@ class TestTermGrid:
             for m in range(-217, 218):   # the look-ahead rows
                 assert np.all(np.isfinite(grid.integrand(m)(nodes))), m
             assert len(calls) == 4
+
+
+def _hyperbolic_point_integrand(seed):
+    p = sample_hyperbolic(np.random.default_rng(seed),
+                          CRITERION_3_PAIRS[seed % 3])
+    return _hyperbolic_integrand(p, sum(_hyperbolic_scalars(p)[:3]))
+
+
+class TestNodeIndependence:
+    # an integrand's value at a node does not depend on the other nodes of
+    # its call, so the engines' first call, on levels 0 and 1 together,
+    # gives the values of one call per level
+    @pytest.mark.parametrize("make, nodes", [
+        (lambda seed: _gamma_term_integrand(
+            sample_gamma(np.random.default_rng(seed)), seed - 1, True),
+         np.concatenate(_line_levels(3))),
+        (lambda seed: _index_term_integrand(
+            sample_index(np.random.default_rng(seed)), seed - 1, True),
+         np.concatenate(_circle_levels(3))),
+        (_hyperbolic_point_integrand, np.linspace(-18, 18, 145)),
+    ], ids=["gamma", "index", "hyperbolic"])
+    def test_node_alone_equals_node_in_array(self, make, nodes):
+        rng = np.random.default_rng(8)
+        for seed in range(3):
+            f = make(seed)
+            full = f(nodes)
+            alone = np.concatenate([f(nodes[i:i + 1])
+                                    for i in range(nodes.size)])
+            assert np.array_equal(full, alone), seed
+            for _ in range(4):   # shuffled subsets of any size
+                pick = rng.permutation(nodes.size)[
+                    :rng.integers(2, nodes.size + 1)]
+                assert np.array_equal(f(nodes[pick]), full[pick]), seed
 
 
 class TestEquivalence:

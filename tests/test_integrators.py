@@ -1,12 +1,15 @@
 """Adaptive real-line, unit-circle, and bilateral-sum engines."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from pentaq.integrators import (
     _FIRST_NODES,
+    _level,
+    _nested_trapezoid,
     _power_sums,
     QuadratureResult,
     Tail,
@@ -79,8 +82,9 @@ class TestRealLine:
 
     @pytest.mark.parametrize("u_max", [8.0, math.inf])
     def test_levels_nest(self, u_max):
-        # each doubling evaluates only the new odd nodes; level 0 holds
-        # u = 0 and the endpoint u = -u_max (tan(-pi/2) on the whole line)
+        # each doubling evaluates only the new odd nodes, and the first
+        # call covers levels 0 and 1; level 0 holds u = 0 and the endpoint
+        # u = -u_max (tan(-pi/2) on the whole line)
         seen = []
 
         def f(u):
@@ -91,10 +95,10 @@ class TestRealLine:
         r = res.refinements_used
         N = _FIRST_NODES
         assert res.evaluations == N * 2**r
-        # call j passes level j's new nodes, N, N, 2N, 4N, ..., and the
-        # integrand sees no other value
-        assert [lv.size for lv in seen] == [N] + [N // 2 * 2**j
-                                                  for j in range(1, r + 1)]
+        # call 0 passes levels 0 and 1, N + N nodes, and call c level
+        # c + 1's new nodes, 2N, 4N, ...; the integrand sees no other value
+        assert [lv.size for lv in seen] == [2 * N] + [N // 2 * 2**j
+                                                      for j in range(2, r + 1)]
         nodes = np.concatenate(seen)
         assert nodes.size == res.evaluations
         assert np.all(np.isfinite(nodes)) and np.all(np.abs(nodes) <= u_max)
@@ -137,7 +141,8 @@ class TestUnitCircle:
         assert res.converged
 
     def test_levels_nest(self):
-        # each doubling evaluates only the new odd roots
+        # each doubling evaluates only the new odd roots; the first call
+        # covers levels 0 and 1, the 64 roots and the 64 odd roots of 128
         a = 0.45 + 0.2j
         seen = []
 
@@ -146,8 +151,13 @@ class TestUnitCircle:
             return 1 / (1 - a * z)
 
         res = integrate_unit_circle(f)
-        n = _FIRST_NODES * 2**res.refinements_used
+        r = res.refinements_used
+        n = _FIRST_NODES * 2**r
         assert res.evaluations == n
+        assert [lv.size for lv in seen] == [2 * _FIRST_NODES] + [
+            _FIRST_NODES // 2 * 2**j for j in range(2, r + 1)]
+        assert np.allclose(seen[0][:_FIRST_NODES]**_FIRST_NODES, 1,
+                           rtol=0, atol=1e-13)
         roots = np.exp(2j * np.pi * np.arange(n) / n)
         nodes = np.concatenate(seen)
         assert nodes.size == n
@@ -188,8 +198,10 @@ class TestConjugateSymmetric:
         r = half.refinements_used
         N = _FIRST_NODES
         assert half.evaluations == full.evaluations == N * 2**r
+        # call 0 covers levels 0 and 1: 33 + 32 nodes
         sizes = [lv.size for lv in half_seen]
-        assert sizes == [N // 2 + 1] + [N // 4 * 2**j for j in range(1, r + 1)]
+        assert sizes == [N // 2 + 1 + N // 2] + [N // 4 * 2**j
+                                                 for j in range(2, r + 1)]
         nodes = np.concatenate(half_seen)
         if engine is integrate_real_line:
             assert np.all(nodes <= 0) and nodes.max() == 0
@@ -213,6 +225,64 @@ class TestConjugateSymmetric:
         assert np.sort(x) == pytest.approx(np.arange(n) / n, rel=0,
                                            abs=1e-15)
         assert res.value == pytest.approx((1 + 2j) * expected, rel=1e-13)
+
+
+def _one_call_per_level(h, policy, conjugate_symmetric):
+    """The nested trapezoid rule as one integrand call per level: the
+    reference for the engine's first call on levels 0 and 1 together."""
+    total, prev = 0j, math.nan
+    for r in range(policy.max_refinements + 1):
+        n = _FIRST_NODES << r
+        k = np.arange(1, n, 2) if r else np.arange(n)
+        if conjugate_symmetric:
+            k = k[2 * k <= n]
+            weights = np.where((k == 0) | (2 * k == n), 1.0, 2.0)
+            total += float(weights @ h(k / n).real)
+        else:
+            total += complex(np.sum(h(k / n)))
+        value = total / n
+        err = abs(value - prev)
+        prev = value
+        converged = err < max(policy.quadrature_abs_tol,
+                              policy.quadrature_rel_tol * abs(value))
+        if converged:
+            break
+    return QuadratureResult(value, float(err), n, r, 0.0, converged)
+
+
+class TestFirstCall:
+    # 1 / (1 - rho e^{2 pi i x}) has mean 1 and aliasing error rho^n: it
+    # stops at level 1 (rho = 0.1), at level 3 (rho = 0.9), or runs out of
+    # its three doublings (rho = 0.999)
+    @pytest.mark.parametrize("rho, max_refinements, stop", [
+        (0.1, 12, 1), (0.9, 12, 3), (0.999, 3, None)],
+        ids=["level-1", "deeper", "exhausted"])
+    @pytest.mark.parametrize("conjugate_symmetric", [False, True],
+                             ids=["full", "half"])
+    def test_matches_one_call_per_level(self, rho, max_refinements, stop,
+                                        conjugate_symmetric):
+        # every result field, bit for bit
+        policy = TruncationPolicy(max_refinements=max_refinements)
+
+        def h(x):
+            return 1 / (1 - rho * np.exp(2j * np.pi * x))
+
+        calls = []
+
+        def g(call):
+            calls.append(call)
+            return h(_level(call, conjugate_symmetric)[0])
+
+        res = _nested_trapezoid(g, policy, conjugate_symmetric)
+        assert asdict(res) == asdict(
+            _one_call_per_level(h, policy, conjugate_symmetric))
+        if stop is None:
+            assert not res.converged
+            assert res.refinements_used == max_refinements
+        else:
+            assert res.converged and res.refinements_used == stop
+        # levels 0 and 1 share call 0; each later level has a call
+        assert calls == list(range(res.refinements_used))
 
 
 def _numpy_geometric_remainder(rings, alternating):

@@ -26,7 +26,11 @@ from pentaq.special_functions import (
     qpoch_ratio_regularized,
     rogers_L,
 )
-from pentaq.special_functions import _complex_log
+from pentaq.special_functions import (
+    _MAX_CACHED_HEAD,
+    _complex_log,
+    _nome_table,
+)
 
 mp.mp.dps = 30
 
@@ -413,6 +417,59 @@ class TestQPochhammer:
             q = omega.q_dual
         for x in a.ravel():
             assert_log_qpoch_matches_oracle(x, q)
+
+
+class TestNomeCache:
+    # the powers and series coefficients of each (q, J) are built once
+    NOMES = [0.35, 0.35 + 0.2j, -0.6 + 0.1j, -0.5, 0.999,
+             0.9963659266555661 + 0.0019460296750044752j]
+
+    @pytest.mark.parametrize("q", NOMES, ids=str)
+    def test_values_do_not_depend_on_the_cache(self, q):
+        # bit for bit after cache_clear() and on a warm cache, for |a|
+        # below and above 1 (head lengths J = h and J > h)
+        rng = np.random.default_rng(6)
+        a = rng.uniform(0.2, 1.2, 16) * np.exp(1j * rng.uniform(-3, 3, 16))
+
+        def both():
+            return qpoch_inf(a, q), log_qpoch_inf(a, q)
+
+        _nome_table.cache_clear()
+        cold = both()
+        assert _nome_table.cache_info().currsize > 0
+        warm = both()
+        for c, w in zip(cold, warm):
+            assert c.tobytes() == w.tobytes()
+
+    def test_tables_are_read_only(self):
+        qpoch_inf(0.3, 0.35 + 0.2j)
+        _nome_table.cache_clear()
+        powers, coef = _nome_table(0.35 + 0.2j, 6)
+        assert not powers.flags.writeable
+        with pytest.raises(ValueError):
+            powers[0] = 2
+        assert isinstance(coef, tuple)
+        assert _nome_table(0.35 + 0.2j, 6)[0] is powers
+
+    def test_cache_is_bounded(self):
+        # index-spins draws a new q for every point
+        maxsize = _nome_table.cache_info().maxsize
+        assert isinstance(maxsize, int)
+        _nome_table.cache_clear()
+        rng = np.random.default_rng(0)
+        for _ in range(3 * maxsize):
+            qpoch_inf(np.array([0.3, 0.7j]), sample_index(rng).q)
+        assert _nome_table.cache_info().currsize == maxsize
+
+    def test_long_heads_are_not_cached(self):
+        # near q = 1 a table takes megabytes; it is built per call
+        _nome_table.cache_clear()
+        q = 1 - 1e-5
+        assert math.ceil(math.sqrt(-math.log(1e-16) / -math.log(q))) > \
+            _MAX_CACHED_HEAD
+        first = qpoch_inf(0.5, q)
+        assert _nome_table.cache_info().currsize == 0
+        assert qpoch_inf(0.5, q) == first
 
 
 class TestComplexLog:
