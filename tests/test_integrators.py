@@ -6,9 +6,16 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import pentaq.integrators as integrators
+from pentaq.identities import (
+    eval_gamma_lhs,
+    eval_hyperbolic_lhs,
+    eval_index_lhs,
+)
 from pentaq.integrators import (
     _FIRST_NODES,
     _level,
+    _level_values,
     _nested_trapezoid,
     _power_sums,
     QuadratureResult,
@@ -18,7 +25,8 @@ from pentaq.integrators import (
     integrate_unit_circle,
     sum_over_integers,
 )
-from pentaq.special_functions import ConvergenceError
+from pentaq.kernels import sample_gamma, sample_hyperbolic, sample_index
+from pentaq.special_functions import ConvergenceError, ModularPair
 
 
 class TestPolicy:
@@ -227,36 +235,68 @@ class TestConjugateSymmetric:
         assert res.value == pytest.approx((1 + 2j) * expected, rel=1e-13)
 
 
-def _one_call_per_level(h, policy, conjugate_symmetric):
-    """The nested trapezoid rule as one integrand call per level: the
-    reference for the engine's first call on levels 0 and 1 together."""
-    total, prev = 0j, math.nan
-    for r in range(policy.max_refinements + 1):
+def _stops(levels, policy, geometric=True):
+    """The nested trapezoid rule's running sum and stopping tests over
+    ``levels``, which yields each level's number, values and weights (None
+    for the full rule) in turn: the reference for the engine.  Without
+    ``geometric`` it has the difference stop d_j < tol alone, the rule
+    that the geometric stop may only shorten."""
+    total, prev, prev_err = 0j, math.nan, math.nan
+    for r, values, weights in levels:
         n = _FIRST_NODES << r
-        k = np.arange(1, n, 2) if r else np.arange(n)
-        if conjugate_symmetric:
-            k = k[2 * k <= n]
-            weights = np.where((k == 0) | (2 * k == n), 1.0, 2.0)
-            total += float(weights @ h(k / n).real)
+        if weights is None:
+            total += complex(np.sum(values))
         else:
-            total += complex(np.sum(h(k / n)))
+            total += float(weights @ values.real)
         value = total / n
         err = abs(value - prev)
         prev = value
-        converged = err < max(policy.quadrature_abs_tol,
-                              policy.quadrature_rel_tol * abs(value))
+        tol = max(policy.quadrature_abs_tol,
+                  policy.quadrature_rel_tol * abs(value))
+        converged = err < tol
         if converged:
             break
+        if geometric and r >= 2:
+            r_ratio = err / prev_err
+            if err * r_ratio * r_ratio < 1e-6 * tol:
+                err = err * r_ratio * r_ratio
+                converged = True
+                break
+        prev_err = err
     return QuadratureResult(value, float(err), n, r, 0.0, converged)
+
+
+def _one_call_per_level(h, policy, conjugate_symmetric):
+    """The nested trapezoid rule as one integrand call per level: the
+    reference for the engine's first call on levels 0 and 1 together."""
+    def levels():
+        for r in range(policy.max_refinements + 1):
+            n = _FIRST_NODES << r
+            k = np.arange(1, n, 2) if r else np.arange(n)
+            weights = None
+            if conjugate_symmetric:
+                k = k[2 * k <= n]
+                weights = np.where((k == 0) | (2 * k == n), 1.0, 2.0)
+            yield r, h(k / n), weights
+
+    return _stops(levels(), policy)
+
+
+def _difference_stop(g, policy, conjugate_symmetric=False):
+    """``_nested_trapezoid`` with the difference stop alone, on the same
+    integrand calls."""
+    return _stops(_level_values(g, policy, conjugate_symmetric), policy,
+                  geometric=False)
 
 
 class TestFirstCall:
     # 1 / (1 - rho e^{2 pi i x}) has mean 1 and aliasing error rho^n: it
-    # stops at level 1 (rho = 0.1), at level 3 (rho = 0.9), or runs out of
-    # its three doublings (rho = 0.999)
+    # stops at level 1 (rho = 0.1), at level 3 (rho = 0.9), at level 2 by
+    # the geometric stop (rho = 0.85: d_2 = 9e-10, predicted error 9e-19),
+    # or runs out of its three doublings (rho = 0.999)
     @pytest.mark.parametrize("rho, max_refinements, stop", [
-        (0.1, 12, 1), (0.9, 12, 3), (0.999, 3, None)],
-        ids=["level-1", "deeper", "exhausted"])
+        (0.1, 12, 1), (0.9, 12, 3), (0.85, 12, 2), (0.999, 3, None)],
+        ids=["level-1", "deeper", "geometric", "exhausted"])
     @pytest.mark.parametrize("conjugate_symmetric", [False, True],
                              ids=["full", "half"])
     def test_matches_one_call_per_level(self, rho, max_refinements, stop,
@@ -283,6 +323,108 @@ class TestFirstCall:
             assert res.converged and res.refinements_used == stop
         # levels 0 and 1 share call 0; each later level has a call
         assert calls == list(range(res.refinements_used))
+
+
+def _both_rules(monkeypatch, compute):
+    """``compute()`` under the engine's rule and under the difference stop
+    alone, with every quadrature result of each run in call order."""
+    runs = []
+    for rule in (_nested_trapezoid, _difference_stop):
+        results = []
+
+        def recording(g, policy, conjugate_symmetric=False, rule=rule):
+            results.append(rule(g, policy, conjugate_symmetric))
+            return results[-1]
+
+        monkeypatch.setattr(integrators, "_nested_trapezoid", recording)
+        runs.append((compute(), results))
+    return runs
+
+
+def _lorentzian(a, c):
+    return lambda u: a / np.pi / ((u - c) ** 2 + a**2)
+
+
+def _narrow_features():
+    """Unit-mass bumps of width 1 to 1e-3 at six centres: Gaussians,
+    Lorentzians and squared Lorentzians, 126 cases."""
+    for w in (1, 0.3, 0.1, 0.03, 0.01, 0.003, 0.001):
+        for c in (0, 0.37, 1.3, 5, -2.2, 40):
+            yield lambda u, w=w, c=c: (np.exp(-((u - c) / w) ** 2)
+                                       / (w * math.sqrt(math.pi)))
+            yield _lorentzian(w, c)
+            yield lambda u, w=w, c=c: (2 * w**3 / np.pi
+                                       / ((u - c) ** 2 + w**2) ** 2)
+
+
+class TestGeometricStop:
+    """The geometric stop against the difference stop alone, on integrals
+    of known value 1 (tol = 1e-10)."""
+
+    def _compare(self, monkeypatch, engine, integrands):
+        """The levels of both rules on each integrand, and the actual error
+        of every quadrature that the geometric stop ended sooner."""
+        sooner = []
+        for f in integrands:
+            (new, _), (old, _) = _both_rules(monkeypatch,
+                                             lambda: engine(f))
+            assert new.refinements_used <= old.refinements_used
+            if new.refinements_used < old.refinements_used:
+                assert new.converged
+                sooner.append(abs(new.value - 1))
+        return sooner
+
+    def test_geometric_convergence_stops_sooner_within_tol(self,
+                                                           monkeypatch):
+        # a circle pole at 1/rho or a line pole at distance a from the real
+        # axis: the error falls geometrically in n; 42 cases
+        circle = [lambda z, p=rho * np.exp(1j * phi): 1 / (1 - p * z)
+                  for rho in (0.5, 0.8, 0.9, 0.95, 0.97, 0.98, 0.99, 0.995)
+                  for phi in (0, 0.7, 2)]
+        line = [_lorentzian(a, c) for a in (1, 0.3, 0.1, 0.05, 0.02, 0.01)
+                for c in (0, 0.4, 3)]
+        sooner = (self._compare(monkeypatch, integrate_unit_circle, circle)
+                  + self._compare(monkeypatch, integrate_real_line, line))
+        assert len(sooner) == 16
+        assert max(sooner) < 1e-10
+
+    def test_algebraic_decay_keeps_every_level(self, monkeypatch):
+        # (1 + u^2)^{-3/2} converges algebraically: the ratio of successive
+        # differences stays at 1/4, and the rule needs all 12 doublings
+        (new, _), (old, _) = _both_rules(monkeypatch, lambda: (
+            integrate_real_line(lambda u: (1 + u**2) ** -1.5)))
+        assert new == old
+        assert new.evaluations == 262_144
+
+    def test_narrow_features_never_stop_on_a_wrong_value(self, monkeypatch):
+        # a stop the geometric test makes is within tol; the difference
+        # stop's own early stops at level 1, where levels 0 and 1 miss the
+        # bump, are unchanged
+        sooner = self._compare(monkeypatch, integrate_real_line,
+                               _narrow_features())
+        assert len(sooner) == 27
+        assert max(sooner) < 1e-10
+
+    def test_pentagon_integrals_never_refine_deeper(self, monkeypatch):
+        # every inner integral of 20 gamma, 20 index and 30 hyperbolic
+        # left-hand sides stops at or before the difference stop's level
+        rng = np.random.default_rng(7)
+        points = ([(eval_gamma_lhs, sample_gamma(rng)) for _ in range(20)]
+                  + [(eval_index_lhs, sample_index(rng)) for _ in range(20)]
+                  + [(eval_hyperbolic_lhs, sample_hyperbolic(rng, omega))
+                     for omega in (ModularPair(0.4 + 0.9j, 1.0),
+                                   ModularPair(0.3 + 0.7j, 1.1),
+                                   ModularPair(0.6 + 1.3j, 0.9))
+                     for _ in range(10)])
+        sooner = 0
+        for lhs, p in points:
+            (_, new), (_, old) = _both_rules(monkeypatch, lambda: lhs(p))
+            # the m-sums may stop at different rings; the i-th quadrature
+            # of both runs is the same m-term
+            for a, b in zip(new, old):
+                assert a.refinements_used <= b.refinements_used
+                sooner += a.refinements_used < b.refinements_used
+        assert sooner > 0
 
 
 def _numpy_geometric_remainder(rings, alternating):

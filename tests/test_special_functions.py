@@ -169,6 +169,16 @@ class TestLogGamma:
             with pytest.raises(PoleError):
                 log_gamma(z)
 
+    def test_pole_in_a_batch_is_named(self, rng):
+        # a (12, 65) batch like a gamma integrand's: its near-real column
+        # holds half-integers, which are no poles, until one element is -2
+        z = rng.uniform(-3, 3, (12, 65)) + 1j * rng.uniform(-50, 50, (12, 65))
+        z[:, 32] = np.arange(12) - 6.5
+        assert np.all(np.isfinite(log_gamma(z)))
+        z[7, 40] = -2
+        with pytest.raises(PoleError, match=r"pole at z = \(-2\+0j\)$"):
+            log_gamma(z)
+
     def test_recurrence(self, rng):
         count = 0
         while count < 1000:
@@ -532,6 +542,15 @@ class TestBernoulli:
         got = bernoulli_b22((w1 + w2) / 2, omega)
         expected = -(w1**2 + w2**2) / (12 * w1 * w2)
         assert got == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("omega", CRITERION_3_PAIRS)
+    def test_horner_form_matches_expanded_form(self, omega):
+        u = hyperbolic_kernel_arguments(omega)
+        w1, w2 = omega.omega1, omega.omega2
+        expanded = (u * u / (w1 * w2) - u / w1 - u / w2
+                    + w1 / (6 * w2) + w2 / (6 * w1) + 0.5)
+        assert np.all(np.abs(bernoulli_b22(u, omega) - expanded)
+                      <= 1e-14 * np.abs(expanded))
 
     def test_swap_symmetry(self, rng):
         for _ in range(20):
