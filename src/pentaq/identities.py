@@ -208,8 +208,8 @@ def _make_report(identity_id: IdentityId, parameters: dict, lhs: complex,
     )
 
 
-# steps a chain runs past the term that extends it: one step call per engine
-# call covers the next 8 terms of that direction and parity
+# rows a half-chain grows past the term it was too short for: one step call
+# per engine call covers the next 8 terms of that direction and parity
 _LOOK_AHEAD = 8
 
 
@@ -218,32 +218,33 @@ class _TermGrid:
     its quadrature engine, for one LHS evaluation.
 
     The engine's c-th call passes the new nodes of levels 0 and 1 together
-    (c = 0) or of level c + 1, the same for every term, and values are
-    kept per (m, c).  Only the terms m = 0 and m = 1 are evaluated
-    directly, by ``direct(m)``: they seed the even and the odd chain.
-    Term m > 1 is term m - 2 times step(m - 2), and term m < 0 is term
-    m + 2 divided by step(m), where step(m) is term m + 2 over term m at
-    the call's nodes; so term -(2k + 1) is k + 1 steps from term 1.
-    ``step(ms, nodes)`` takes an array of K values of m and returns the
-    (K, n) array of their steps.  So the seeds and the chains of the first
-    two levels are built once, on their nodes together.
+    (c = 0) or of level c + 1, the same for every term.  Only the terms
+    m = 0 and m = 1 are evaluated directly, by ``direct(m)``: they seed the
+    even and the odd chain.  Term m > 1 is term m - 2 times step(m - 2),
+    and term m < 0 is term m + 2 divided by step(m), where step(m) is
+    term m + 2 over term m at the call's nodes.  ``step(ms, nodes)`` takes
+    an array of K values of m and returns the (K, n) array of their steps.
+    So the seeds and the chains of the first two levels are built once, on
+    their nodes together.
 
-    A term missing at a call extends its half-chain (its parity, on its
-    side of the seed) from the nearest term known there, in one step call
-    and one ``np.multiply.accumulate`` (upward) or ``np.divide.accumulate``
-    (downward) over the rows.  Both keep the left-to-right order of the
-    one-step recurrence; only the last bit of a complex product can differ
-    from an elementwise ``v * step``, which numpy rounds in another loop.
-    The chain runs _LOOK_AHEAD steps past the missing term.  Those rows
-    cost rational arithmetic only, on a call whose seed is evaluated
-    anyway; rows the m-sum never asks for change no other row.
+    Each call keeps its nodes and, per seed, one row list per direction:
+    both start at the seed row, so term m is row |m - seed| / 2 of the list
+    on its side of the seed (term -(2k + 1) is row k + 1 of the odd
+    downward list).  A list too short for a term grows through that row
+    and _LOOK_AHEAD rows beyond in one step call and one
+    ``np.multiply.accumulate`` (upward) or ``np.divide.accumulate``
+    (downward).  Both keep the left-to-right order of the one-step
+    recurrence; only the last bit of a complex product can differ from an
+    elementwise ``v * step``, which numpy rounds in another loop.  The
+    look-ahead rows cost rational arithmetic only, on a call whose seed is
+    evaluated anyway; rows the m-sum never asks for change no other row.
     """
 
     def __init__(self, direct, step):
-        self._direct = {m: direct(m) for m in (0, 1)}
+        self._direct = (direct(0), direct(1))
         self._step = step
-        self._nodes: list[np.ndarray] = []
-        self._values: dict[tuple[int, int], np.ndarray] = {}
+        # per call: its nodes and {seed: (upward rows, downward rows)}
+        self._calls: list[tuple[np.ndarray, dict]] = []
 
     def integrand(self, m_sum: int):
         """Term ``m_sum`` as an integrand for the engine, whose c-th call
@@ -252,8 +253,8 @@ class _TermGrid:
 
         def f(nodes):
             call = next(calls)
-            if call == len(self._nodes):
-                self._nodes.append(nodes)
+            if call == len(self._calls):
+                self._calls.append((nodes, {}))
             return self._term(m_sum, call)
 
         return f
@@ -284,36 +285,26 @@ class _TermGrid:
                                               for res in inner))
 
     def _term(self, m_sum: int, call: int) -> np.ndarray:
-        if (m_sum, call) not in self._values:
-            self._extend(m_sum, call)
-        return self._values[m_sum, call]
-
-    def _extend(self, m_sum: int, call: int) -> None:
-        """Fill the chain of ``m_sum`` at ``call`` through m_sum and
-        _LOOK_AHEAD steps beyond."""
-        nodes = self._nodes[call]
+        nodes, chains = self._calls[call]
         seed = m_sum % 2
-        if (seed, call) not in self._values:
-            self._values[seed, call] = self._direct[seed](nodes)
-        if m_sum == seed:
-            return
-        sign = 1 if m_sum > seed else -1
-        stride = 2 * sign
-        known = m_sum
-        while (known, call) not in self._values:
-            known -= stride
-        ms = np.arange(known + stride, m_sum + (_LOOK_AHEAD + 1) * stride,
-                       stride)
-        rows = np.empty((len(ms) + 1, len(nodes)), dtype=complex)
-        rows[0] = self._values[known, call]
-        if sign > 0:   # term m = term m - 2 times step(m - 2)
-            rows[1:] = self._step(ms - 2, nodes)
-            np.multiply.accumulate(rows, axis=0, out=rows)
-        else:    # term m = term m + 2 over step(m)
-            rows[1:] = self._step(ms, nodes)
-            np.divide.accumulate(rows, axis=0, out=rows)
-        for m, row in zip(ms.tolist(), rows[1:]):
-            self._values[m, call] = row
+        if seed not in chains:
+            row = self._direct[seed](nodes)
+            chains[seed] = ([row], [row])
+        stride = 2 if m_sum >= seed else -2
+        rows = chains[seed][stride < 0]
+        k = (m_sum - seed) // stride
+        if k >= len(rows):
+            ms = seed + stride * np.arange(len(rows), k + _LOOK_AHEAD + 1)
+            block = np.empty((len(ms) + 1, len(nodes)), dtype=complex)
+            block[0] = rows[-1]
+            if stride > 0:   # term m = term m - 2 times step(m - 2)
+                block[1:] = self._step(ms - 2, nodes)
+                np.multiply.accumulate(block, axis=0, out=block)
+            else:    # term m = term m + 2 over step(m)
+                block[1:] = self._step(ms, nodes)
+                np.divide.accumulate(block, axis=0, out=block)
+            rows.extend(block[1:])
+        return rows[k]
 
 
 # ---------------------------------------------------------------------------
@@ -329,17 +320,10 @@ def verify_operator_pentagon(max_degree: int, q) -> VerificationReport:
     """
     started = time.perf_counter()
     q, max_residual = check_operator_pentagon(max_degree, q)
-    residual = float(max_residual)
-    return VerificationReport(
-        identity_id=IdentityId.OPERATOR,
-        parameters={"identity": "operator", "q": str(q),
-                    "max_degree": max_degree},
-        lhs=complex(residual),
-        rhs=0j,
-        abs_residual=residual,
-        rel_residual=residual,
-        target=DEFAULT_TARGETS[IdentityId.OPERATOR],
-        wall_time=time.perf_counter() - started,
+    return _make_report(
+        IdentityId.OPERATOR,
+        {"identity": "operator", "q": str(q), "max_degree": max_degree},
+        complex(max_residual), 0j, started,
         notes="max |coefficient| of LHS - RHS in exact arithmetic",
     )
 
@@ -551,13 +535,12 @@ def eval_index_lhs(p: IndexParams, policy: TruncationPolicy = DEFAULT_POLICY,
     ``convention="resolved"`` weights term m by (-1)^m; ``"printed"`` uses
     weight +1 and reproduces the deficit of the unsigned form.
 
-    All terms share one node set per call of :func:`integrate_unit_circle`
-    (a :class:`_TermGrid`), whose first call covers levels 0 and 1
-    together.  The terms m = 0 and m = 1 are evaluated
-    directly; every other term is built from its neighbour m -+ 2 at the
-    same nodes.  From m to m + 2 each Pochhammer argument moves by one
-    power of q, and (xq; q)_inf = (x; q)_inf / (1 - x), so the integrand is
-    multiplied by
+    The terms share the nodes of each call of :func:`integrate_unit_circle`
+    in a :class:`_TermGrid`, which stores them: the terms m = 0 and m = 1
+    are evaluated directly, and every other term is built from its
+    neighbour m -+ 2 by a step.  From m to m + 2 each Pochhammer argument
+    moves by one power of q, and (xq; q)_inf = (x; q)_inf / (1 - x), so the
+    step multiplies the integrand by
 
         z^{-6} prod_i (b_i / a_i)
                * prod_i (1 - B_i)(1 - C_i) / ((1 - A_i)(1 - D_i)),
@@ -565,16 +548,10 @@ def eval_index_lhs(p: IndexParams, policy: TruncationPolicy = DEFAULT_POLICY,
     with A_i = q^{1+k_i/2} / (a_i z), B_i = q^{k_i/2} a_i z,
     C_i = q^{l_i/2} z / b_i, D_i = q^{l_i/2-1} b_i / z, k_i = n_i + m and
     l_i = m_i - m, all taken at m.  Balancing makes prod_i b_i / a_i = 1
-    only to the 1e-12 that IndexParams allows, so the step keeps it.
-    Terms m < 0 divide by the step instead, so term -(2k + 1) is k + 1
-    steps from term 1.  The Pochhammer products are thus computed for two
-    terms only, and at large |m|, where their ratios overflow to inf/inf,
-    the terms stay finite.  Each of the two takes one qpoch_inf call per
-    engine call, on the (12, n) array of its six numerator and six
-    denominator arguments at the call's n nodes, and one for its scalar
-    prefactor (see _index_term_integrand).  A chain missing a term at a
-    call is extended by one step call on all the m it needs and the next
-    _LOOK_AHEAD beyond, about a dozen calls per LHS.
+    only to the 1e-12 that IndexParams allows, so the step keeps it.  The
+    Pochhammer products are thus computed for two terms only (see
+    _index_term_integrand), and at large |m|, where their ratios overflow
+    to inf/inf, the terms stay finite.
 
     q, a_i = q^{s_i} and b_i = q^{t_i} are real (IndexParams keeps
     0 < q < 1 and real exponents) and the spins are integers, so every
@@ -745,25 +722,20 @@ def eval_gamma_lhs(p: GammaParams, policy: TruncationPolicy = DEFAULT_POLICY,
     (enforced by GammaParams) no integrand pole ever touches the real line,
     for any zero-sum spins, so the straight contour is always correct.
 
-    All terms share one node set per call of :func:`integrate_real_line`
-    (a :class:`_TermGrid`; the first call covers levels 0 and 1 together),
-    on the scale u = _GAMMA_SCALE * t.  From m to m + 2 every gamma
-    argument moves by one, and Gamma(z + 1) = z Gamma(z), so the integrand
-    is multiplied by
+    The terms share the nodes of each call of :func:`integrate_real_line`,
+    on the scale u = _GAMMA_SCALE * t, in a :class:`_TermGrid`, which
+    stores them: the terms m = 0 and m = 1 are evaluated directly, and
+    every other term is built from its neighbour m -+ 2 by a step.  From m
+    to m + 2 every gamma argument moves by one, and Gamma(z + 1) =
+    z Gamma(z), so the step multiplies the integrand by
 
         prod_i (a_i + k_i)(l_i - b_i) / ((1 - a_i + k_i)(b_i + l_i - 1)),
 
     with a_i = alpha_i + i u, b_i = beta_i - i u, k_i = (n_i + m)/2 and
     l_i = (m_i - m)/2, all taken at m; the weight (-1)^m does not change.
-    Terms m < 0 divide by the step instead.  The terms m = 0 and m = 1
-    stay direct: they seed the even and the odd chain in both directions,
-    so term m is |m|/2 steps from a direct value, and term -(2k + 1) is
-    k + 1 steps from term 1; the terms that carry most of the sum are exact
-    to rounding.  So ``log_gamma`` runs for two terms only, one call per
-    engine call on a (12, n) array, and every other term costs one rational
-    step per node: a chain missing a term at a call is extended by one step
-    call on all the m it needs and the next _LOOK_AHEAD beyond, about a
-    dozen calls per LHS.
+    So ``log_gamma`` runs for two terms only (see _gamma_term_integrand),
+    every other term costs one rational step per node, and the terms near
+    m = 0, which carry most of the sum, are exact to rounding.
 
     alpha_i and beta_i are real and the spins integers, so
     Gamma(conj w) = conj Gamma(w) turns u into -u as conjugation: each

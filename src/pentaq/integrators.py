@@ -14,6 +14,7 @@ cover their whole contour and report a tail estimate of 0.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import asdict, dataclass
@@ -197,7 +198,7 @@ def _nested_trapezoid(g, policy: TruncationPolicy,
         else:
             total += complex(np.sum(values))
         value = total / n
-        if not np.isfinite(value):
+        if not cmath.isfinite(value):
             raise ConvergenceError(f"quadrature level on {n} nodes is {value}")
         err = abs(value - prev)
         prev = value
@@ -417,7 +418,7 @@ def sum_over_integers(term, tail: Tail = Tail(),
     for M in range(1, _MAX_RINGS + 1):
         r = complex(term(M)) + complex(term(-M))
         total += r
-        if not np.isfinite(total):
+        if not cmath.isfinite(total):
             raise ConvergenceError(
                 f"sum_over_integers: non-finite sum {total} at |m| = {M}")
         rings.append(r)

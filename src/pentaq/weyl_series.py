@@ -82,9 +82,6 @@ class NormalOrderedSeries:
             out[key] = out.get(key, Fraction(0)) - c
         return NormalOrderedSeries(out, self.max_degree, self.q)
 
-    def __mul__(self, other: "NormalOrderedSeries") -> "NormalOrderedSeries":
-        return series_multiply(self, other)
-
     def drop_y(self) -> "NormalOrderedSeries":
         """Specialize y = 0: keep only monomials with b = 0."""
         kept = {k: c for k, c in self.coefficients.items() if k[1] == 0}

@@ -51,6 +51,12 @@ class TestVerify:
                                    "--random", "5"])
         assert res.exit_code != 0
 
+    def test_random_count_must_be_positive(self, runner):
+        res = runner.invoke(main, ["verify", "--identity", "classical",
+                                   "--random", "0"])
+        assert res.exit_code == 2
+        assert "--random must be at least 1" in res.output
+
     def test_params_and_random_mutually_exclusive(self, runner, tmp_path):
         f = tmp_path / "pts.jsonl"
         f.write_text("{}\n")
@@ -90,9 +96,13 @@ class TestVerify:
         # the spins' half-sums overflow a float
         ("gamma", {"alpha": [0.1, 0.2, 0.2], "beta": [0.1, 0.2, 0.2],
                    "n": [10**400, -10**400, 0], "m": [0, 0, 0]}),
+        # a valid gamma point that declares another identity
+        ("gamma", {"identity": "index", "alpha": [0.1, 0.2, 0.2],
+                   "beta": [0.1, 0.2, 0.2], "n": [0, 0, 0], "m": [0, 0, 0]}),
     ], ids=["index-spins", "index-negative-exponent", "classical-outside",
             "hyperbolic-no-decay", "classical-null", "hyperbolic-a-not-pairs",
-            "not-an-object", "index-nan", "gamma-overflowing-spins"])
+            "not-an-object", "index-nan", "gamma-overflowing-spins",
+            "declares-other-identity"])
     def test_params_file_constraint_violation_reported(self, runner,
                                                        tmp_path, identity,
                                                        rec):
@@ -102,6 +112,23 @@ class TestVerify:
                                    "--params", str(f)])
         assert res.exit_code == 1
         assert "bad.jsonl:1: constraint violation" in res.output
+
+    def test_blank_params_lines_skipped(self, runner, tmp_path):
+        f = tmp_path / "pts.jsonl"
+        f.write_text('\n{"x": 0.3, "y": 0.6}\n  \n')
+        res = runner.invoke(main, ["verify", "--identity", "classical",
+                                   "--params", str(f)])
+        assert res.exit_code == 0, res.output
+        assert len([r for r in jsonl(res.output)
+                    if r["kind"] == "point"]) == 1
+
+    def test_params_file_without_points_refused(self, runner, tmp_path):
+        f = tmp_path / "empty.jsonl"
+        f.write_text("")
+        res = runner.invoke(main, ["verify", "--identity", "classical",
+                                   "--params", str(f)])
+        assert res.exit_code == 1
+        assert "empty.jsonl: no parameter points" in res.output
 
     def test_raising_point_gives_error_record(self, runner, tmp_path, rng):
         # the dual nome of the first pair underflows and its integrand raises
@@ -234,6 +261,11 @@ class TestExpandOperator:
     def test_malformed_q_usage_error(self, runner):
         res = runner.invoke(main, ["expand-operator", "--q", "zebra"])
         assert res.exit_code != 0
+
+    def test_q_outside_unit_interval_usage_error(self, runner):
+        res = runner.invoke(main, ["expand-operator", "--q", "3/2"])
+        assert res.exit_code == 2
+        assert "q must satisfy 0 < q < 1, got 3/2" in res.output
 
     def test_negative_degree_usage_error(self, runner):
         res = runner.invoke(main, ["expand-operator", "--max-degree", "-1"])

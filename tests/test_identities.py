@@ -121,6 +121,10 @@ class TestOperatorAndClassical:
             assert rep.passed
             assert rep.abs_residual < 1e-12
 
+    def test_classical_point_outside_unit_square_rejected(self):
+        with pytest.raises(ValueError, match=r"\(0,1\)\^2"):
+            verify_classical_pentagon(1.5, 0.2)
+
 
 class TestHyperbolic:
     def test_sampled_point(self, rng, omega):
@@ -273,6 +277,13 @@ class TestIndex:
     def test_bad_convention_rejected(self):
         with pytest.raises(ValueError):
             verify_pentagon_index(INDEX_POINT, convention="mystery")
+
+    @pytest.mark.parametrize("eval_rhs, point", [
+        (eval_index_rhs, INDEX_POINT), (eval_gamma_rhs, GAMMA_POINT),
+    ], ids=["index", "gamma"])
+    def test_unknown_rhs_form_rejected(self, eval_rhs, point):
+        with pytest.raises(ValueError, match="unknown form 'SPHERE'"):
+            eval_rhs(point, "SPHERE")
 
     def test_random_points(self, rng):
         for _ in range(5):

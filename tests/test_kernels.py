@@ -90,6 +90,11 @@ class TestKernelValues:
         with pytest.raises(PoleError, match="Gamma"):
             b_gamma_disc(0.25, 0, 0.75, -2)
 
+    def test_b_idx_pole_named(self):
+        # (q^{n/2} a; q)_inf = (1; q)_inf = 0: a true pole, not underflow
+        with pytest.raises(PoleError, match="vanishing Pochhammer factor"):
+            b_idx(1.0, 0, 0.3, 0, 0.5)
+
     def test_b_beta_classical_values(self):
         assert b_beta(0.5, 0.5) == pytest.approx(math.pi, rel=1e-13)
         assert b_beta(1.0, 1.0) == pytest.approx(1.0, rel=1e-13)
@@ -136,6 +141,12 @@ class TestParamContainers:
             IndexParams((0.1, 0.2, 0.2), (0.1, 0.2, 0.2), (1, 1, 1),
                         (0, 0, 0), 0.3)
 
+    @pytest.mark.parametrize("q", [0.0, 1.0, 1.5, math.nan])
+    def test_index_rejects_q_outside_unit_interval(self, q):
+        with pytest.raises(ValueError, match="0 < q < 1"):
+            IndexParams((0.1, 0.2, 0.2), (0.1, 0.2, 0.2), (0, 0, 0),
+                        (0, 0, 0), q)
+
     def test_index_rejects_nonpositive_exponents(self):
         # the unit circle is no longer the contour once an exponent is <= 0
         with pytest.raises(ValueError, match="positive"):
@@ -167,6 +178,39 @@ class TestParamContainers:
     def test_nan_fails_balancing(self, make):
         with pytest.raises(ValueError, match="balancing violated"):
             make(math.nan)
+
+    # Re(a_1 + b_1) = 1.2 times the balancing total, the rest balanced
+    @pytest.mark.parametrize("make", [
+        lambda: HyperbolicParams(
+            tuple(v * (1.4 + 0.9j) for v in (0.6, 0.1, 0.1)),
+            tuple(v * (1.4 + 0.9j) for v in (0.6, -0.3, -0.1)),
+            ModularPair(0.4 + 0.9j, 1.0)),
+        lambda: BetaParams((0.6, 0.1, 0.1), (0.6, -0.3, -0.1)),
+    ], ids=["hyperbolic", "beta"])
+    def test_pole_separation_enforced(self, make):
+        with pytest.raises(ValueError, match="pole separation violated"):
+            make()
+
+    @pytest.mark.parametrize("make, match", [
+        (lambda: IndexParams((0.25, 0.25), (0.1, 0.2, 0.2), (0, 0, 0),
+                             (0, 0, 0), 0.3), "s must have exactly 3"),
+        (lambda: IndexParams((0.1, 0.2, 0.2), (0.1, 0.2, 0.2),
+                             (1, -1, 0, 0), (0, 0, 0), 0.3),
+         "n must have exactly 3"),
+        (lambda: GammaParams((0.1, 0.2, 0.2), (0.25, 0.25), (0, 0, 0),
+                             (0, 0, 0)), "beta must have exactly 3"),
+        (lambda: GammaParams((0.1, 0.2, 0.2), (0.1, 0.2, 0.2), (0, 0, 0),
+                             (0, 0)), "m must have exactly 3"),
+        (lambda: HyperbolicParams((0, 0), (0, 0, 0),
+                                  ModularPair(0.4 + 0.9j, 1.0)),
+         "need exactly 3 a's and 3 b's"),
+        (lambda: BetaParams((0.2, 0.2, 0.2), (0.1, 0.1, 0.1, 0.1)),
+         "need exactly 3 a's and 3 b's"),
+    ], ids=["index-exponents", "index-spins", "gamma-parameters",
+            "gamma-spins", "hyperbolic", "beta"])
+    def test_three_entries_required(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
 
     @pytest.mark.parametrize("spins", [(1.5, -1.5, 0), (math.nan, 0, 0)])
     def test_non_integer_spins_rejected(self, spins):

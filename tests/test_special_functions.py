@@ -560,6 +560,11 @@ class TestBernoulli:
             assert bernoulli_b22(u, (w1, w2)) == pytest.approx(
                 bernoulli_b22(u, (w2, w1)), rel=1e-13)
 
+    @pytest.mark.parametrize("omega", [(0.0, 1.0), (0.4 + 0.9j, 0j)])
+    def test_zero_quasi_period_rejected(self, omega):
+        with pytest.raises(ValueError, match="quasi-periods must be nonzero"):
+            bernoulli_b22(0.3, omega)
+
 
 class TestHyperbolicGamma:
     def test_self_dual_point(self, omega):
