@@ -14,6 +14,7 @@ from pentaq.identities import (
     DEFAULT_TARGETS,
     IdentityId,
     _beta_integrand,
+    _cluster_at_one,
     _gamma_term_integrand,
     _gate,
     _GAMMA_SCALE,
@@ -56,6 +57,7 @@ from pentaq.integrators import (
     DEFAULT_POLICY,
     TruncationPolicy,
     integrate_real_line,
+    integrate_unit_circle,
 )
 from pentaq.special_functions import ConvergenceError, ModularPair, log_gamma
 
@@ -305,9 +307,10 @@ class TestIndex:
 
     def test_one_qpoch_call_per_batch(self, monkeypatch):
         # qpoch_inf takes one call on 12 rows per direct-term integrand
-        # level, one per direct term's prefactor, one for the nine-factor
-        # RHS and one per b_idx, each through its module binding: the
-        # benchmark's tracing rebinds the names, as done here
+        # level, one for the prefactor that both direct terms share, one
+        # for the nine-factor RHS and one per b_idx, each through its
+        # module binding: the benchmark's tracing rebinds the names, as
+        # done here
         import pentaq.identities as identities
         import pentaq.integrators as integrators
         import pentaq.kernels as kernels
@@ -335,6 +338,7 @@ class TestIndex:
         qpoch_inf = special_functions.qpoch_inf
         b_idx = kernels.b_idx
         term_integrand = identities._index_term_integrand
+        prefactor = identities._index_prefactor
         eval_index_rhs = identities.eval_index_rhs
 
         def counting_qpoch(a, q):
@@ -361,19 +365,21 @@ class TestIndex:
         rebind(b_idx, counting_b_idx)
         monkeypatch.setattr(identities, "_index_term_integrand",
                             counting_term_integrand)
+        monkeypatch.setattr(identities, "_index_prefactor",
+                            within("prefactor", prefactor))
         monkeypatch.setattr(identities, "eval_index_rhs", labelled_rhs)
         verify_pentagon_index(INDEX_POINT)
         labels = [label for label, _ in qpoch_calls]
         assert [shape for label, shape in qpoch_calls
                 if label == "integrand"] == [(12,) + n for n in levels]
         assert [shape for label, shape in qpoch_calls
-                if label == "prefactor"] == [(6,)] * 2   # m = 0, 1
+                if label == "prefactor"] == [(6,)]   # shared by m = 0, 1
         assert [shape for label, shape in qpoch_calls
                 if label == "NINE_FACTOR"] == [(18,)]
         assert len(kernel_calls) == 2
         assert [shape for label, shape in qpoch_calls
                 if label == "b_idx"] == [(6,)] * 2
-        assert len(labels) == len(levels) + 2 + 1 + 2
+        assert len(labels) == len(levels) + 1 + 1 + 2
 
     @pytest.mark.parametrize("signed", [True, False],
                              ids=["resolved", "printed"])
@@ -401,6 +407,57 @@ class TestIndex:
         grid = _index_grid(p, True)
         for m in (200, -200):
             assert np.all(np.isfinite(grid.integrand(m)(z))), m
+
+
+class TestClusteredCircle:
+    # the map of the index m-terms, z = (w + c)/(1 + c w) with its weight
+    def test_map_keeps_the_circle_and_conjugate_symmetry(self):
+        w = np.concatenate(_circle_levels(3))
+        z, weight = _cluster_at_one(w)
+        zc, weight_c = _cluster_at_one(w.conj())
+        assert np.allclose(np.abs(z), 1, rtol=0, atol=1e-15)
+        assert np.allclose(zc, z.conj(), rtol=0, atol=1e-15)
+        assert np.allclose(weight_c, weight.conj(), rtol=0, atol=1e-15)
+        # nodes with Im w >= 0 map to Im z >= 0, and +-1 stay fixed
+        assert np.all(z[w.imag >= 0].imag >= -1e-15)
+        assert np.allclose(_cluster_at_one(np.array([1.0, -1.0]))[0],
+                           [1, -1], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("a", [0.5, 0.8, 0.9, 0.95, 0.98, 0.99, 0.995])
+    @pytest.mark.parametrize("side", [1, -1], ids=["near+1", "near-1"])
+    @pytest.mark.parametrize("inverse", [False, True], ids=["z", "1/z"])
+    def test_mapped_rule_keeps_the_mean(self, a, side, inverse):
+        # 1/(1 - side a z^{+-1}) has mean 1 on the circle and one pole near
+        # z = side; the map crowds the nodes at +1 and spreads them at -1
+        def g(z):
+            return 1 / (1 - side * a * (1 / z if inverse else z))
+
+        def mapped(w):
+            z, weight = _cluster_at_one(w)
+            return g(z) * weight
+
+        res = integrate_unit_circle(mapped, conjugate_symmetric=True)
+        plain = integrate_unit_circle(g, conjugate_symmetric=True)
+        assert res.converged and plain.converged
+        assert abs(res.value - 1) < DEFAULT_POLICY.quadrature_abs_tol
+        assert res.evaluations <= plain.evaluations * (1 if side > 0 and
+                                                       a >= 0.8 else 8)
+
+    def test_spinning_point_near_q_to_1_takes_fewer_evaluations(self):
+        # the spinning point of the index-to-gamma limit at q = 0.95: 79,616
+        # evaluations on the plain roots of unity
+        p = IndexParams((0.1, 0.15, 0.25), (0.2, 0.12, 0.18), (1, 0, -1),
+                        (0, 1, -1), 0.95)
+        assert eval_index_lhs(p).evaluations < 79_616
+
+    def test_work_counter_on_sampled_points(self):
+        # a deterministic guard on the map: over 20 sample_index points at
+        # seed 11 the mean evaluations per LHS read 5,402 on the plain
+        # roots of unity and 4,096 on the mapped ones
+        rng = np.random.default_rng(11)
+        evaluations = [eval_index_lhs(sample_index(rng)).evaluations
+                       for _ in range(20)]
+        assert np.mean(evaluations) < 4_400
 
 
 class TestGamma:
@@ -618,6 +675,30 @@ class TestTermGrid:
             for m in range(-217, 218):   # the look-ahead rows
                 assert np.all(np.isfinite(grid.integrand(m)(nodes))), m
             assert len(calls) == 4
+
+
+    @pytest.mark.parametrize("term_integrand, make_step, point, levels", [
+        (_gamma_term_integrand, _gamma_step, GAMMA_POINT, _line_levels),
+        (_index_term_integrand, _index_step, INDEX_POINT, _circle_levels),
+    ], ids=["gamma", "index"])
+    @pytest.mark.parametrize("near, far", [(2, 8), (-2, -8)],
+                             ids=["upward", "downward"])
+    def test_row_does_not_depend_on_how_its_list_grew(
+            self, term_integrand, make_step, point, levels, near, far):
+        # on a later engine call a list grows to the term asked for; term
+        # `near` must come out the same bits whether its list grew for it
+        # alone or for a farther term first
+        nodes = levels(3)
+        calls = (np.concatenate(nodes[:2]), nodes[2])
+        got = []
+        for order in ((near,), (far, near)):
+            grid = _TermGrid(partial(term_integrand, point, signed=True),
+                             make_step(point))
+            for m in order:
+                f = grid.integrand(m)
+                values = [f(c) for c in calls]
+            got.append(values[1])
+        assert np.array_equal(*got)
 
 
 def _hyperbolic_point_integrand(seed):
