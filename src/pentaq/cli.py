@@ -40,7 +40,7 @@ from .special_functions import (
     qpoch_ratio_regularized,
     rogers_L,
 )
-from .weyl_series import operator_pentagon_sides
+from .weyl_series import operator_pentagon_sides, series_difference
 
 SCHEMA_VERSION = 2
 
@@ -140,6 +140,14 @@ def _load_points(identity: IdentityId, params_path: str) -> list:
     return points
 
 
+def _finite_tol(ctx, param, value):
+    """A ``--tol`` must be finite and at least 0; written so that nan fails
+    it."""
+    if value is not None and not 0 <= value < np.inf:
+        raise click.BadParameter(f"must be finite and at least 0, got {value}")
+    return value
+
+
 def _run_header(command: str, **fields) -> str:
     """A report's first line: schema, command, ``fields``, timestamp."""
     return json.dumps({
@@ -171,9 +179,9 @@ def main() -> None:
               default=None, help="JSONL file of parameter points.")
 @click.option("--random", "random_count", type=int, default=None,
               help="Number of random balanced points to sample.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed for the random sampler (PCG64).")
-@click.option("--tol", type=float, default=None,
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              show_default=True, help="Seed for the random sampler (PCG64).")
+@click.option("--tol", type=float, default=None, callback=_finite_tol,
               help="Override the identity's residual target.")
 @click.option("--convention", type=click.Choice(["resolved", "printed"]),
               default="resolved", show_default=True)
@@ -258,7 +266,8 @@ def verify(identity, params_path, random_count, seed, tol, convention,
 
 @main.command("limit-study")
 @click.argument("kind", type=click.Choice(list(LIMIT_TABLE)))
-@click.option("--seed", type=int, default=0, show_default=True,
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              show_default=True,
               help="Seed for the gamma parameter point of the q-to-1 study.")
 @click.option("--report", "report_path", type=click.Path(), default=None)
 def limit_study(kind, seed, report_path) -> None:
@@ -287,19 +296,19 @@ def expand_operator(max_degree, q_string) -> None:
     if not 0 < q < 1:
         raise click.UsageError(f"q must satisfy 0 < q < 1, got {q}")
     lhs, rhs = operator_pentagon_sides(max_degree, q)
-    diff = lhs - rhs
+    diff = series_difference(lhs, rhs)
 
     def dump(title, series):
         click.echo(f"# {title}")
-        for a, b, c in series.table():
-            click.echo(f"x^{a} y^{b}  {c}")
-        if not series.coefficients:
+        for a, b in sorted(series, key=lambda key: (sum(key), key)):
+            click.echo(f"x^{a} y^{b}  {series[(a, b)]}")
+        if not series:
             click.echo("(all coefficients zero)")
 
     dump("l(y) l(x)", lhs)
     dump("l(x) l(-xy) l(y)", rhs)
     dump("difference", diff)
-    residual = diff.max_abs_coefficient()
+    residual = max(map(abs, diff.values()), default=Fraction(0))
     click.echo(f"# max residual: {residual}")
     sys.exit(0 if residual == 0 else 1)
 
@@ -334,7 +343,7 @@ def _golden_input(value):
 @click.option("--vectors", "vectors_path", type=click.Path(exists=True),
               default=None, help="Alternative golden-vector file.")
 @click.option("--tol", "tol_scale", type=float, default=1.0,
-              show_default=True,
+              show_default=True, callback=_finite_tol,
               help="Scale factor applied to every vector tolerance.")
 def selfcheck(vectors_path, tol_scale) -> None:
     """Evaluate every shipped golden test vector and report pass/fail."""

@@ -493,7 +493,7 @@ def _index_prefactor(p: IndexParams) -> float:
 
 
 def _index_term_integrand(p: IndexParams, m_sum: int, signed: bool,
-                          prefactor: float | None = None):
+                          prefactor: float):
     """Integrand on the unit circle for one term of the integer sum.
 
     The monomial factors of the three kernels combine into the single-valued
@@ -512,16 +512,14 @@ def _index_term_integrand(p: IndexParams, m_sum: int, signed: bool,
     prefactor times z^{-3m} prod(num rows) / prod(den rows), with the rows
     multiplied one at a time, so that a node's value does not depend on the
     other nodes of its call.  The Pochhammer ratio of the prefactor,
-    :func:`_index_prefactor`, does not depend on m; eval_index_lhs passes
-    it to both direct terms, and a caller that does not computes it here.
+    :func:`_index_prefactor`, does not depend on m; eval_index_lhs forms
+    it once and passes it to both direct terms.
     """
     q, a, b = p.q, np.array(p.a), np.array(p.b)
     n, m = np.array(p.n), np.array(p.m)
     e_n = (n + m_sum) / 2
     e_m = (m - m_sum) / 2
     weight = (-1.0) ** m_sum if signed else 1.0
-    if prefactor is None:
-        prefactor = _index_prefactor(p)
     scalar = weight * prefactor * np.prod(a**e_m * b**e_n)
     # the twelve arguments are these coefficients times 1/z or z
     coef = np.concatenate([q ** (1 + e_n) / a, q ** (1 + e_m) / b,

@@ -62,12 +62,15 @@ class TruncationPolicy:
     max_refinements: int = 12
 
     def __post_init__(self) -> None:
+        # written so that nan fails them
         for name in ("quadrature_abs_tol", "quadrature_rel_tol",
                      "sum_tail_tol"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.max_refinements < 1:
-            raise ValueError("max_refinements must be at least 1")
+        if not (isinstance(self.max_refinements, int)
+                and self.max_refinements >= 1):
+            raise ValueError("max_refinements must be an integer of at "
+                             "least 1")
 
     def doubled(self) -> "TruncationPolicy":
         """A strictly tighter policy for convergence self-checks."""

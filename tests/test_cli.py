@@ -188,12 +188,31 @@ class TestVerify:
 
     @pytest.mark.parametrize("option, value", [
         ("--max-refinements", "0"), ("--sum-tail-tol", "-1"),
-        ("--quadrature-rel-tol", "0")])
+        ("--quadrature-rel-tol", "0"), ("--quadrature-abs-tol", "nan")])
     def test_bad_policy_option_is_usage_error(self, runner, option, value):
         res = runner.invoke(main, ["verify", "--identity", "classical",
                                    "--random", "1", option, value])
         assert res.exit_code == 2, res.output
         assert "must be" in res.output
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_bad_tol_is_usage_error(self, runner, value):
+        res = runner.invoke(main, ["verify", "--identity", "classical",
+                                   "--random", "1", "--tol", value])
+        assert res.exit_code == 2, res.output
+        assert "must be finite and at least 0" in res.output
+
+    def test_zero_tol_is_valid(self, runner):
+        # 0 is the operator identity's own target
+        res = runner.invoke(main, ["verify", "--identity", "operator",
+                                   "--max-degree", "3", "--tol", "0"])
+        assert res.exit_code == 0, res.output
+
+    def test_negative_seed_is_usage_error(self, runner):
+        res = runner.invoke(main, ["verify", "--identity", "classical",
+                                   "--random", "2", "--seed", "-1"])
+        assert res.exit_code == 2, res.output
+        assert "--seed" in res.output
 
     def test_tol_override_can_force_failure(self, runner):
         res = runner.invoke(main, ["verify", "--identity", "hyperbolic",
@@ -253,6 +272,12 @@ class TestLimitStudy:
             assert outputs[0] == outputs[1]
 
 
+    def test_negative_seed_is_usage_error(self, runner):
+        res = runner.invoke(main, ["limit-study", "q-to-1", "--seed", "-3"])
+        assert res.exit_code == 2, res.output
+        assert "--seed" in res.output
+
+
 class TestExpandOperator:
     def test_exact_zero_exit(self, runner):
         res = runner.invoke(main, ["expand-operator", "--max-degree", "5"])
@@ -286,6 +311,12 @@ class TestSelfcheck:
     def test_tol_scale_can_force_failure(self, runner):
         res = runner.invoke(main, ["selfcheck", "--tol", "1e-12"])
         assert res.exit_code != 0
+
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_bad_tol_scale_is_usage_error(self, runner, value):
+        res = runner.invoke(main, ["selfcheck", "--tol", value])
+        assert res.exit_code == 2, res.output
+        assert "must be finite and at least 0" in res.output
 
     def test_corrupted_vector_file_reports_line(self, runner, tmp_path):
         f = tmp_path / "vec.jsonl"

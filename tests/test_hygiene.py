@@ -2,10 +2,14 @@
 is used there, no module reaches for another module's private names, every
 name it exports is bound there, every function the benchmark's tracing
 shims rebind still exists, the truncation policy stays with the engines,
-and every cache is bounded."""
+every cache is bounded, and the numerical modules load neither the exact
+series nor the command line."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -276,3 +280,18 @@ def test_policy_stops_at_engines():
                 names = [a.arg for a in (args.posonlyargs + args.args
                                          + args.kwonlyargs)]
                 assert "policy" not in names, f"{module.__name__}.{node.name}"
+
+
+def test_numerical_modules_load_no_exact_or_cli_code():
+    # a fresh interpreter that imports what the benchmark imports compiles
+    # none of these: the operator check imports the exact series module
+    # inside the function that needs it, which keeps set-up short
+    lazy = ("pentaq.weyl_series", "pentaq.cli", "fractions", "click")
+    code = ("import sys, pentaq, pentaq.identities, pentaq.kernels\n"
+            f"print(sorted(set({lazy!r}) & set(sys.modules)))")
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"

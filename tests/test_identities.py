@@ -21,6 +21,7 @@ from pentaq.identities import (
     _gamma_step,
     _hyperbolic_integrand,
     _hyperbolic_scalars,
+    _index_prefactor,
     _index_step,
     _index_term_integrand,
     _TermGrid,
@@ -96,8 +97,13 @@ def _line_levels(count: int) -> list:
     return levels
 
 
+def _index_term(p, m_sum, signed):
+    """An index term integrand with the prefactor eval_index_lhs passes."""
+    return _index_term_integrand(p, m_sum, signed, _index_prefactor(p))
+
+
 def _index_grid(p, signed):
-    return _TermGrid(partial(_index_term_integrand, p, signed=signed),
+    return _TermGrid(partial(_index_term, p, signed=signed),
                      _index_step(p))
 
 
@@ -395,7 +401,7 @@ class TestIndex:
             for m in range(-25, 26):
                 f = grid.integrand(m)
                 got = np.concatenate([f(nodes) for nodes in levels])
-                want = _index_term_integrand(p, m, signed)(z)
+                want = _index_term(p, m, signed)(z)
                 assert np.max(np.abs(got - want)) <= \
                     1e-12 * np.max(np.abs(want)), (p, m)
 
@@ -656,7 +662,7 @@ class TestTermGrid:
     @pytest.mark.parametrize("term_integrand, make_step, point, levels", [
         (_gamma_term_integrand, _gamma_step, GAMMA_POINT, _line_levels),
         # the point of test_grid_terms_finite_at_large_m
-        (_index_term_integrand, _index_step,
+        (_index_term, _index_step,
          IndexParams((0.1, 0.2, 0.2), (0.15, 0.15, 0.2), (1, 0, -1),
                      (0, 1, -1), 0.85), _circle_levels),
     ], ids=["gamma", "index"])
@@ -679,7 +685,7 @@ class TestTermGrid:
 
     @pytest.mark.parametrize("term_integrand, make_step, point, levels", [
         (_gamma_term_integrand, _gamma_step, GAMMA_POINT, _line_levels),
-        (_index_term_integrand, _index_step, INDEX_POINT, _circle_levels),
+        (_index_term, _index_step, INDEX_POINT, _circle_levels),
     ], ids=["gamma", "index"])
     @pytest.mark.parametrize("near, far", [(2, 8), (-2, -8)],
                              ids=["upward", "downward"])
@@ -715,7 +721,7 @@ class TestNodeIndependence:
         (lambda seed: _gamma_term_integrand(
             sample_gamma(np.random.default_rng(seed)), seed - 1, True),
          np.concatenate(_line_levels(3))),
-        (lambda seed: _index_term_integrand(
+        (lambda seed: _index_term(
             sample_index(np.random.default_rng(seed)), seed - 1, True),
          np.concatenate(_circle_levels(3))),
         (_hyperbolic_point_integrand, np.linspace(-18, 18, 145)),

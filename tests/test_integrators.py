@@ -35,6 +35,10 @@ class TestPolicy:
             TruncationPolicy(sum_tail_tol=-1)
         with pytest.raises(ValueError):
             TruncationPolicy(max_refinements=0)
+        with pytest.raises(ValueError):
+            TruncationPolicy(quadrature_abs_tol=float("nan"))
+        with pytest.raises(ValueError):
+            TruncationPolicy(max_refinements=2.5)
 
     def test_policy_doubled_is_tighter(self):
         base = TruncationPolicy()

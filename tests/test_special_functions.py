@@ -338,7 +338,8 @@ class TestQPochhammer:
 
         monkeypatch.setattr(identities, "qpoch_inf", capture)
         p = sample_index(np.random.default_rng(3))
-        identities._index_term_integrand(p, 1, True)(
+        identities._index_term_integrand(p, 1, True,
+                                         identities._index_prefactor(p))(
             np.exp(2j * np.pi * np.arange(64) / 64))
         rows = captured[-1]
         assert rows.shape == (12, 64)
