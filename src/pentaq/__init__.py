@@ -9,8 +9,8 @@ Layers:
   variables for the operator pentagon identity.
 - :mod:`pentaq.kernels` — the four B kernels and balanced parameter sets.
 - :mod:`pentaq.integrators` — real-line quadrature, unit-circle quadrature,
-  integer sums whose tail model the caller names, and the truncation policy
-  they share.
+  integer sums whose tail model the caller names, the truncation policy
+  they share, and the term grid that sums contour integrals over m.
 - :mod:`pentaq.identities` — LHS/RHS evaluators, verification reports, and
   the two limit studies.
 - :mod:`pentaq.cli` — the ``pentaq`` command-line front end.

@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import partial
 from importlib import resources
 from inspect import signature
+from pathlib import Path
 from typing import Callable
 
 import click
@@ -148,6 +149,14 @@ def _finite_tol(ctx, param, value):
     return value
 
 
+def _report_dir(ctx, param, value):
+    """A ``--report`` file must lie in an existing directory; checked
+    before the run, whose points would otherwise be lost at its end."""
+    if value is not None and not Path(value).parent.is_dir():
+        raise click.BadParameter(f"the directory of {value!r} does not exist")
+    return value
+
+
 def _run_header(command: str, **fields) -> str:
     """A report's first line: schema, command, ``fields``, timestamp."""
     return json.dumps({
@@ -160,8 +169,7 @@ def _run_header(command: str, **fields) -> str:
 def _emit(lines: list[str], report_path: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        Path(report_path).write_text(text, encoding="utf-8")
     click.echo(text, nl=False)
 
 
@@ -185,7 +193,8 @@ def main() -> None:
               help="Override the identity's residual target.")
 @click.option("--convention", type=click.Choice(["resolved", "printed"]),
               default="resolved", show_default=True)
-@click.option("--report", "report_path", type=click.Path(), default=None,
+@click.option("--report", "report_path", type=click.Path(dir_okay=False),
+              default=None, callback=_report_dir,
               help="Write the JSONL report here as well as stdout.")
 @click.option("--max-degree", type=click.IntRange(min=1), default=10,
               show_default=True,
@@ -269,7 +278,8 @@ def verify(identity, params_path, random_count, seed, tol, convention,
 @click.option("--seed", type=click.IntRange(min=0), default=0,
               show_default=True,
               help="Seed for the gamma parameter point of the q-to-1 study.")
-@click.option("--report", "report_path", type=click.Path(), default=None)
+@click.option("--report", "report_path", type=click.Path(dir_okay=False),
+              default=None, callback=_report_dir)
 def limit_study(kind, seed, report_path) -> None:
     """Run a convergence study toward one of the two gamma-function limits."""
     row = LIMIT_TABLE[kind]

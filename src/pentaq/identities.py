@@ -30,10 +30,9 @@ the sum-integral.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, partial
 
@@ -43,10 +42,10 @@ from .integrators import (
     DEFAULT_POLICY,
     QuadratureResult,
     Tail,
+    TermGrid,
     TruncationPolicy,
     integrate_real_line,
     integrate_unit_circle,
-    sum_over_integers,
 )
 from .kernels import (
     BetaParams,
@@ -209,126 +208,6 @@ def _make_report(identity_id: IdentityId, parameters: dict, lhs: complex,
         wall_time=time.perf_counter() - started,
         **extra,
     )
-
-
-# rows a half-chain grows past the term it was too short for on an engine's
-# first call, where the m-sum asks for many terms: that step call covers the
-# next 8 terms of that direction and parity
-_LOOK_AHEAD = 8
-
-
-class _TermGrid:
-    """Every m-term of a sum-integral's integrand on the nested levels of
-    its quadrature engine, for one LHS evaluation.
-
-    The engine's c-th call passes the new nodes of levels 0 and 1 together
-    (c = 0) or of level c + 1, the same for every term.  The grid's
-    ``node_map`` turns them into the points at which the terms are
-    evaluated and a weight by which each term's values are multiplied,
-    once per call for every term: a change of variables, such as a scale
-    u = L t with weight L on the real line, or a map of the circle onto
-    itself with its Jacobian (eval_index_lhs).  By default the points are
-    the nodes and the weight is 1.
-
-    Only the terms m = 0 and m = 1 are evaluated directly, by
-    ``direct(m)``: they seed the even and the odd chain.  Term m > 1 is
-    term m - 2 times step(m - 2), and term m < 0 is term m + 2 divided by
-    step(m), where step(m) is term m + 2 over term m at the call's points.
-    ``step(ms, points)`` takes an array of K values of m and returns the
-    (K, n) array of their steps.  So the seeds and the chains of the first
-    two levels are built once, on their points together.
-
-    Each call keeps its points, its weight and, per seed, one row list per
-    direction: both start at the seed row, so term m is row |m - seed| / 2
-    of the list on its side of the seed (term -(2k + 1) is row k + 1 of the
-    odd downward list).  A list too short for a term grows through that
-    row, and on call 0 _LOOK_AHEAD rows beyond, in one step call and one
-    ``np.multiply.accumulate`` (upward) or ``np.divide.accumulate``
-    (downward).  Both keep the left-to-right order of the one-step
-    recurrence; only the last bit of a complex product can differ from an
-    elementwise ``v * step``, which numpy rounds in another loop, and
-    numpy takes that loop for a block of one new row, so a block has two
-    at least.  On call 0 the m-sum asks for every term in turn, and the
-    look-ahead rows cost rational arithmetic only, on a call whose seed is
-    evaluated anyway.  Later calls refine only the few terms whose
-    quadrature has not yet converged, near m = 0, so there a list grows to
-    the term asked for, or one row beyond it, and no further.  Rows the
-    m-sum never asks for change no other row.
-    """
-
-    def __init__(self, direct, step, node_map=lambda nodes: (nodes, 1.0)):
-        self._direct = (direct(0), direct(1))
-        self._step = step
-        self._node_map = node_map
-        # per call: its points, its weight and {seed: (upward rows,
-        # downward rows)}
-        self._calls: list[tuple[np.ndarray, object, dict]] = []
-
-    def integrand(self, m_sum: int):
-        """Term ``m_sum`` as an integrand for the engine, whose c-th call
-        passes the new nodes of call c: the weight times the term at the
-        mapped points."""
-        calls = itertools.count()
-
-        def f(nodes):
-            call = next(calls)
-            if call == len(self._calls):
-                self._calls.append((*self._node_map(nodes), {}))
-            return self._calls[call][1] * self._term(m_sum, call)
-
-        return f
-
-    def sum_of_integrals(self, integrate, tail: Tail,
-                         policy: TruncationPolicy) -> QuadratureResult:
-        """Sum over integers m of the inner integrals
-        ``integrate(self.integrand(m))``.
-
-        The result is the outer sum's, except that it counts the
-        evaluations of the inner integrals, adds their error estimates to
-        its own, and is converged only if they all converged too.  The
-        inner integrals cover their whole contour, so the tail estimate is
-        the outer sum's alone.
-        """
-        inner: list[QuadratureResult] = []
-
-        def term(m_sum: int) -> complex:
-            inner.append(integrate(self.integrand(m_sum)))
-            return inner[-1].value
-
-        outer = sum_over_integers(term, tail, policy)
-        return replace(
-            outer, evaluations=sum(res.evaluations for res in inner),
-            abs_error_estimate=outer.abs_error_estimate + sum(
-                res.abs_error_estimate for res in inner),
-            converged=outer.converged and all(res.converged
-                                              for res in inner))
-
-    def _term(self, m_sum: int, call: int) -> np.ndarray:
-        points, _, chains = self._calls[call]
-        seed = m_sum % 2
-        if seed not in chains:
-            row = self._direct[seed](points)
-            chains[seed] = ([row], [row])
-        stride = 2 if m_sum >= seed else -2
-        rows = chains[seed][stride < 0]
-        k = (m_sum - seed) // stride
-        if k >= len(rows):
-            # at least two new rows: numpy accumulates a block of one new
-            # row by its elementwise loop, whose last bit can differ from
-            # that of longer blocks, and a row must not depend on how its
-            # list grew
-            last = k + _LOOK_AHEAD if call == 0 else max(k, len(rows) + 1)
-            ms = seed + stride * np.arange(len(rows), last + 1)
-            block = np.empty((len(ms) + 1, len(points)), dtype=complex)
-            block[0] = rows[-1]
-            if stride > 0:   # term m = term m - 2 times step(m - 2)
-                block[1:] = self._step(ms - 2, points)
-                np.multiply.accumulate(block, axis=0, out=block)
-            else:    # term m = term m + 2 over step(m)
-                block[1:] = self._step(ms, points)
-                np.divide.accumulate(block, axis=0, out=block)
-            rows.extend(block[1:])
-        return rows[k]
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +477,7 @@ def eval_index_lhs(p: IndexParams, policy: TruncationPolicy = DEFAULT_POLICY,
     weight +1 and reproduces the deficit of the unsigned form.
 
     The terms share the nodes of each call of :func:`integrate_unit_circle`
-    in a :class:`_TermGrid`, which stores them: the terms m = 0 and m = 1
+    in a :class:`TermGrid`, which stores them: the terms m = 0 and m = 1
     are evaluated directly, and every other term is built from its
     neighbour m -+ 2 by a step.  From m to m + 2 each Pochhammer argument
     moves by one power of q, and (xq; q)_inf = (x; q)_inf / (1 - x), so the
@@ -621,7 +500,7 @@ def eval_index_lhs(p: IndexParams, policy: TruncationPolicy = DEFAULT_POLICY,
     Pochhammer argument and every step factor at conj z is the conjugate
     of its value at z: each term satisfies f(conj z) = conj f(z).  So
     :func:`integrate_unit_circle` evaluates only the roots with Im z >= 0
-    (``conjugate_symmetric=True``), and the sum is real.
+    (the grid passes ``conjugate_symmetric=True``), and the sum is real.
 
     The same reality puts every pole of every term on the positive real
     axis: at z = q^{-k_i/2-j} / a_i outside the circle and
@@ -658,12 +537,10 @@ def eval_index_lhs(p: IndexParams, policy: TruncationPolicy = DEFAULT_POLICY,
     best on the sample.
     """
     signed = _check_convention(convention)
-    grid = _TermGrid(partial(_index_term_integrand, p, signed=signed,
-                             prefactor=_index_prefactor(p)),
-                     _index_step(p), _cluster_at_one)
-    return grid.sum_of_integrals(
-        lambda f: integrate_unit_circle(f, policy, conjugate_symmetric=True),
-        Tail(alternating=not signed), policy)
+    return TermGrid(partial(_index_term_integrand, p, signed=signed,
+                            prefactor=_index_prefactor(p)),
+                    _index_step(p), _cluster_at_one).sum_of_integrals(
+        integrate_unit_circle, Tail(alternating=not signed), policy)
 
 
 def eval_index_rhs(p: IndexParams, form: str = "TWO_B") -> complex:
@@ -822,7 +699,7 @@ def eval_gamma_lhs(p: GammaParams, policy: TruncationPolicy = DEFAULT_POLICY,
 
     The terms share the nodes of each call of :func:`integrate_real_line`,
     mapped once per call to the scale u = _GAMMA_SCALE * t with weight
-    _GAMMA_SCALE, in a :class:`_TermGrid`, which stores them: the terms
+    _GAMMA_SCALE, in a :class:`TermGrid`, which stores them: the terms
     m = 0 and m = 1 are evaluated directly, and every other term is built
     from its neighbour m -+ 2 by a step.  From m to m + 2 every gamma
     argument moves by one, and Gamma(z + 1) = z Gamma(z), so the step
@@ -839,16 +716,14 @@ def eval_gamma_lhs(p: GammaParams, policy: TruncationPolicy = DEFAULT_POLICY,
     alpha_i and beta_i are real and the spins integers, so
     Gamma(conj w) = conj Gamma(w) turns u into -u as conjugation: each
     term, and each step, satisfies f(-u) = conj f(u).  So
-    :func:`integrate_real_line` evaluates only u <= 0
-    (``conjugate_symmetric=True``), and the sum is real.
+    :func:`integrate_real_line` evaluates only u <= 0 (the grid passes
+    ``conjugate_symmetric=True``), and the sum is real.
     """
     signed = _check_convention(convention)
-    grid = _TermGrid(partial(_gamma_term_integrand, p, signed=signed),
-                     _gamma_step(p),
-                     lambda t: (_GAMMA_SCALE * t, _GAMMA_SCALE))
-    return grid.sum_of_integrals(
-        lambda f: integrate_real_line(f, policy, conjugate_symmetric=True),
-        Tail(power=3, leading=4.0, alternating=not signed), policy)
+    tail = Tail(power=3, leading=4.0, alternating=not signed)
+    return TermGrid(partial(_gamma_term_integrand, p, signed=signed),
+                    _gamma_step(p), lambda t: (_GAMMA_SCALE * t, _GAMMA_SCALE),
+                    ).sum_of_integrals(integrate_real_line, tail, policy)
 
 
 def eval_gamma_rhs(p: GammaParams, form: str = "TWO_B") -> complex:

@@ -1,5 +1,6 @@
-"""Numerical engines: real-line quadrature, unit-circle quadrature, and
-sums over all integers whose tail follows a model the caller names.
+"""Numerical engines: real-line quadrature, unit-circle quadrature, sums
+over all integers whose tail follows a model the caller names, and the
+term grid that sums contour integrals over m with both.
 
 Both quadratures are one rule: the nested trapezoid rule in an angle
 (:func:`_nested_trapezoid`) on the nodes x = k/n, on z = exp(2 pi i x) for
@@ -10,14 +11,20 @@ and has only half the nodes evaluated.  The three engines share a result
 type carrying the value, a conservative error estimate, evaluation counts,
 and an explicit tail estimate.  Only the sum extrapolates; both quadratures
 cover their whole contour and report a tail estimate of 0.
+
+:class:`TermGrid` evaluates every m-term of a sum-integral on the nodes of
+each quadrature call, and relies on two decisions made here: the rule's
+call contract (:func:`_nested_trapezoid`) and the order in which
+:func:`sum_over_integers` asks for its terms, 0, +-1, +-2, ...
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
@@ -32,6 +39,7 @@ __all__ = [
     "integrate_real_line",
     "integrate_unit_circle",
     "sum_over_integers",
+    "TermGrid",
 ]
 
 # Rings summed before sum_over_integers gives up and reports non-convergence.
@@ -40,6 +48,10 @@ _MAX_RINGS = 512
 _SUM_WINDOW_START = 8
 # Nodes on the first level of both quadratures; each refinement doubles them.
 _FIRST_NODES = 64
+# Rows a half-chain of TermGrid grows past the term it was too short for on
+# an engine's first call, where the m-sum asks for many terms: that step
+# call covers the next 8 terms of that direction and parity.
+_LOOK_AHEAD = 8
 # The geometric stop of _nested_trapezoid.  On an analytic periodic
 # integrand the trapezoid rule's error on n nodes is E ~ C rho**n, so
 # doubling n squares it: E_j = E_{j-1}**2 / C.  The difference
@@ -65,20 +77,23 @@ class TruncationPolicy:
         # written so that nan fails them
         for name in ("quadrature_abs_tol", "quadrature_rel_tol",
                      "sum_tail_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        # _level keeps each call's nodes for the life of the process,
+        # 64 * 2**c of them on call c, so the budget bounds that cache;
+        # DEFAULT_POLICY.doubled() asks for 14
         if not (isinstance(self.max_refinements, int)
-                and self.max_refinements >= 1):
-            raise ValueError("max_refinements must be an integer of at "
-                             "least 1")
+                and 1 <= self.max_refinements <= 16):
+            raise ValueError("max_refinements must be an integer from 1 to 16")
 
     def doubled(self) -> "TruncationPolicy":
-        """A strictly tighter policy for convergence self-checks."""
+        """A strictly tighter policy for convergence self-checks: tolerances
+        100 times smaller and two more refinements, up to 16."""
         return TruncationPolicy(
             quadrature_abs_tol=self.quadrature_abs_tol * 1e-2,
             quadrature_rel_tol=self.quadrature_rel_tol * 1e-2,
             sum_tail_tol=self.sum_tail_tol * 1e-2,
-            max_refinements=self.max_refinements + 2,
+            max_refinements=min(self.max_refinements + 2, 16),
         )
 
 
@@ -116,7 +131,9 @@ def _level(call: int, conjugate_symmetric: bool):
     their weights under ``conjugate_symmetric`` (None without it), their
     images on the unit circle, z = exp(2 pi i x), their
     :func:`_line_images` on the whole line (theta_max = pi/2), as read-only
-    arrays, and the positions in x at which each level's nodes end."""
+    arrays, and the positions in x at which each level's nodes end.  A
+    call number is below ``TruncationPolicy.max_refinements``, at most 16,
+    so the cache holds at most 32 entries."""
     xs, ws = [], []
     for refinements in (0, 1) if call == 0 else (call + 1,):
         n = _FIRST_NODES << refinements
@@ -175,20 +192,24 @@ def _nested_trapezoid(g, policy: TruncationPolicy,
     2 Re g, and the value is real.  ``evaluations`` still counts the rule's
     nodes, mirrors included.
 
-    Call contract: ``g`` is called with c = 0, 1, ... in turn.  Level 0
-    never stops the rule (there is no level to compare it with), and
-    ``TruncationPolicy`` allows at least one doubling, so call 0 covers
-    levels 0 and 1 together: the 64 nodes, then the 64 odd nodes of 128.
-    Call c >= 1 covers level c + 1 alone.  Level j's new nodes are, in
-    increasing order, the nodes of 64 * 2**j that level j - 1 lacks, or
-    with ``conjugate_symmetric`` those of them in [0, 1/2] (33 + 32 nodes
-    on call 0).  Node 0 is evaluated like any other.  The values are
-    summed level by level, so the result is that of one call per level
-    whenever ``g``'s value at a node does not depend on the other nodes of
-    its call.  ``g`` is called no more after the call whose level stops
-    the rule, by either stop: no call only confirms the level before.  The
-    circle's and the whole line's images of each call are cached in
-    :func:`_level`, so every term of a sum-integral shares them.
+    Call contract, which both quadratures and :class:`TermGrid` follow:
+    ``g`` is called with c = 0, 1, ... in turn.  Level 0 never stops the
+    rule (there is no level to compare it with), and ``TruncationPolicy``
+    allows at least one doubling, so call 0 covers levels 0 and 1
+    together: the 64 nodes, then the 64 odd nodes of 128.  Call c >= 1
+    covers level c + 1 alone.  Level j's new nodes are, in increasing
+    order, the nodes of 64 * 2**j that level j - 1 lacks, or with
+    ``conjugate_symmetric`` those of them in [0, 1/2] (33 + 32 nodes on
+    call 0).  Node 0 is evaluated like any other.  The values are summed
+    level by level, so the result is that of one call per level whenever
+    ``g``'s value at a node does not depend on the other nodes of its
+    call.  ``g`` is called no more after the call whose level stops the
+    rule, by either stop: no call only confirms the level before.  Both
+    quadratures pass their integrand one array per call, the images of the
+    call's new nodes.  The circle's and the whole line's images are cached
+    in :func:`_level`, so every term of a sum-integral gets the same array
+    on its c-th call, and :class:`TermGrid` finds a term's rows by counting
+    its calls.
     """
     # level 0 has no predecessor; its difference from nan never converges,
     # and level 1's ratio to that nan never stops the geometric test
@@ -273,12 +294,9 @@ def integrate_real_line(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
     (Schwarz reflection).  Then only u <= 0 is evaluated, the mirror nodes
     u > 0 are taken as conjugates, and the value is real.
 
-    The nodes depend on ``u_max`` alone, and the integrand is evaluated at
-    them only: on its c-th call the engine passes ``integrand`` the images
-    u of call c's new nodes (:func:`_nested_trapezoid`: levels 0 and 1 on
-    call 0, level c + 1 after; those with u <= 0 under
-    ``conjugate_symmetric``) as one array.  It makes no call after the level
-    at which the difference or the geometric stop ends the rule.
+    ``integrand`` is called as :func:`_nested_trapezoid`'s call contract
+    says, on the images u of each call's new nodes, which depend on
+    ``u_max`` alone.
     """
     theta_max = math.atan(u_max)
 
@@ -306,13 +324,8 @@ def integrate_unit_circle(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
     real.  Then only the roots with Im z >= 0 are evaluated, their mirrors
     are taken as conjugates, and the value is real.
 
-    Call contract: on its c-th call (c = 0, 1, ...) the engine passes
-    ``integrand`` call c's new nodes as one array: on call 0 the 64 roots
-    of unity followed by the 64 odd roots of 128, then on call c the n new
-    odd roots exp(2 pi i (2k + 1) / 2n) of level c + 1, n = 64 * 2**c
-    (under ``conjugate_symmetric`` only those with Im z >= 0); a caller may
-    build its values from its own values at call c.  It makes no call after
-    the level at which the difference or the geometric stop ends the rule.
+    ``integrand`` is called as :func:`_nested_trapezoid`'s call contract
+    says, on the images z of each call's new nodes.
     """
     return _nested_trapezoid(
         lambda call: integrand(_level(call, conjugate_symmetric)[2]),
@@ -450,3 +463,119 @@ def sum_over_integers(term, tail: Tail = Tail(),
         tail_estimate=float(abs(correction)),
         converged=converged,
     )
+
+
+class TermGrid:
+    """Every m-term of a sum-integral's integrand on the nodes of each
+    quadrature call, for one sum of integrals.
+
+    A family of terms is given by its mathematics alone: ``direct(m)``, the
+    integrand of term m = 0 or m = 1; ``step(ms, points)``, which takes an
+    array of K values of m and returns the (K, n) array of term m + 2 over
+    term m at the points; and ``node_map(nodes)``, which turns a call's
+    nodes into the points at which the terms are evaluated and a weight by
+    which each term's values are multiplied: a change of variables, such as
+    a scale u = L t with weight L on the real line, or a map of the circle
+    onto itself with its Jacobian.
+
+    Every term gets the same nodes on an engine call (the call contract of
+    :func:`_nested_trapezoid`), so the grid maps them once per call and
+    builds the terms on them from two seeds.  Only the terms m = 0 and
+    m = 1 are evaluated directly: they seed the even and the odd chain.
+    Term m > 1 is term m - 2 times step(m - 2), and term m < 0 is term
+    m + 2 divided by step(m).  So the seeds and the chains of the first two
+    levels are built once, on their points together.
+
+    Each call keeps its points, its weight and, per seed, one row list per
+    direction: both start at the seed row, so term m is row |m - seed| / 2
+    of the list on its side of the seed (term -(2k + 1) is row k + 1 of the
+    odd downward list).  A list too short for a term grows through that
+    row, and on call 0 _LOOK_AHEAD rows beyond, in one step call and one
+    ``np.multiply.accumulate`` (upward) or ``np.divide.accumulate``
+    (downward).  Both keep the left-to-right order of the one-step
+    recurrence; only the last bit of a complex product can differ from an
+    elementwise ``v * step``, which numpy rounds in another loop, and
+    numpy takes that loop for a block of one new row, so a block has two
+    at least.  On call 0 :func:`sum_over_integers` asks for every term in
+    turn, 0, +-1, +-2, ..., and the look-ahead rows cost rational
+    arithmetic only, on a call whose seed is evaluated anyway.  Later calls
+    refine only the few terms whose quadrature has not yet converged, near
+    m = 0, so there a list grows to the term asked for, or one row beyond
+    it, and no further.  Rows the m-sum never asks for change no other row.
+    """
+
+    def __init__(self, direct, step, node_map):
+        self._direct = (direct(0), direct(1))
+        self._step = step
+        self._node_map = node_map
+        # per call: its points, its weight and {seed: (upward rows,
+        # downward rows)}
+        self._calls: list[tuple[np.ndarray, object, dict]] = []
+
+    def integrand(self, m_sum: int):
+        """Term ``m_sum`` as an integrand for an engine: on the engine's
+        c-th call, the weight times the term at the mapped points of
+        call c."""
+        calls = itertools.count()
+
+        def f(nodes):
+            call = next(calls)
+            if call == len(self._calls):
+                self._calls.append((*self._node_map(nodes), {}))
+            return self._calls[call][1] * self._term(m_sum, call)
+
+        return f
+
+    def sum_of_integrals(self, engine, tail: Tail,
+                         policy: TruncationPolicy) -> QuadratureResult:
+        """Sum over integers m of the inner integrals
+        ``engine(self.integrand(m), policy, conjugate_symmetric=True)``,
+        with ``engine`` one of the quadratures: the sum-integrals' terms
+        have real parameters, so each is conjugate-symmetric.
+
+        The result is the outer sum's, except that it counts the
+        evaluations of the inner integrals, adds their error estimates to
+        its own, and is converged only if they all converged too.  The
+        inner integrals cover their whole contour, so the tail estimate is
+        the outer sum's alone.
+        """
+        inner: list[QuadratureResult] = []
+
+        def term(m_sum: int) -> complex:
+            inner.append(engine(self.integrand(m_sum), policy,
+                                conjugate_symmetric=True))
+            return inner[-1].value
+
+        outer = sum_over_integers(term, tail, policy)
+        return replace(
+            outer, evaluations=sum(res.evaluations for res in inner),
+            abs_error_estimate=outer.abs_error_estimate + sum(
+                res.abs_error_estimate for res in inner),
+            converged=outer.converged and all(res.converged
+                                              for res in inner))
+
+    def _term(self, m_sum: int, call: int) -> np.ndarray:
+        points, _, chains = self._calls[call]
+        seed = m_sum % 2
+        if seed not in chains:
+            row = self._direct[seed](points)
+            chains[seed] = ([row], [row])
+        stride = 2 if m_sum >= seed else -2
+        rows = chains[seed][stride < 0]
+        k = (m_sum - seed) // stride
+        if k >= len(rows):
+            # at least two new rows: numpy accumulates a block of one new
+            # row by its elementwise loop, whose last bit can differ from
+            # that of longer blocks, and a row must not depend on how its
+            # list grew
+            last = k + _LOOK_AHEAD if call == 0 else max(k, len(rows) + 1)
+            ms = seed + stride * np.arange(len(rows), last + 1)
+            block = np.empty((len(ms) + 1, len(points)), dtype=complex)
+            block[0] = rows[-1]
+            # term m is term m - 2 times step(m - 2) upward, and term
+            # m + 2 over step(m) downward
+            block[1:] = self._step(ms - 2 if stride > 0 else ms, points)
+            (np.multiply if stride > 0 else np.divide).accumulate(
+                block, axis=0, out=block)
+            rows.extend(block[1:])
+        return rows[k]

@@ -188,7 +188,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("option, value", [
         ("--max-refinements", "0"), ("--sum-tail-tol", "-1"),
-        ("--quadrature-rel-tol", "0"), ("--quadrature-abs-tol", "nan")])
+        ("--quadrature-rel-tol", "0"), ("--quadrature-abs-tol", "nan"),
+        ("--max-refinements", "17"), ("--quadrature-abs-tol", "inf")])
     def test_bad_policy_option_is_usage_error(self, runner, option, value):
         res = runner.invoke(main, ["verify", "--identity", "classical",
                                    "--random", "1", option, value])
@@ -239,6 +240,26 @@ class TestVerify:
         records = [json.loads(line) for line in
                    out.read_text().strip().splitlines()]
         assert records[0]["kind"] == "run_header"
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--identity", "classical", "--random", "2"],
+        ["limit-study", "omega"]], ids=["verify", "limit-study"])
+    def test_report_directory_is_usage_error(self, runner, tmp_path, args):
+        # refused before the run, which used to end in IsADirectoryError
+        res = runner.invoke(main, args + ["--report", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert "is a directory" in res.output
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--identity", "classical", "--random", "2"],
+        ["limit-study", "omega"]], ids=["verify", "limit-study"])
+    def test_report_missing_directory_is_usage_error(self, runner, tmp_path,
+                                                     args):
+        out = tmp_path / "missing" / "report.jsonl"
+        res = runner.invoke(main, args + ["--report", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "does not exist" in res.output
+        assert not out.parent.exists()
 
 
 class TestLimitStudy:

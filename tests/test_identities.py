@@ -24,7 +24,6 @@ from pentaq.identities import (
     _index_prefactor,
     _index_step,
     _index_term_integrand,
-    _TermGrid,
     equivalence_check_gamma_rhs,
     eval_beta_lhs,
     eval_beta_rhs,
@@ -56,6 +55,7 @@ from pentaq.kernels import (
 from pentaq.integrators import (
     _FIRST_NODES,
     DEFAULT_POLICY,
+    TermGrid,
     TruncationPolicy,
     integrate_real_line,
     integrate_unit_circle,
@@ -102,14 +102,19 @@ def _index_term(p, m_sum, signed):
     return _index_term_integrand(p, m_sum, signed, _index_prefactor(p))
 
 
+def _identity_map(nodes):
+    """A term grid's node map that evaluates the terms at the nodes."""
+    return nodes, 1.0
+
+
 def _index_grid(p, signed):
-    return _TermGrid(partial(_index_term, p, signed=signed),
-                     _index_step(p))
+    return TermGrid(partial(_index_term, p, signed=signed),
+                    _index_step(p), _identity_map)
 
 
 def _gamma_grid(p, signed):
-    return _TermGrid(partial(_gamma_term_integrand, p, signed=signed),
-                     _gamma_step(p))
+    return TermGrid(partial(_gamma_term_integrand, p, signed=signed),
+                    _gamma_step(p), _identity_map)
 
 
 class TestOperatorAndClassical:
@@ -671,8 +676,8 @@ class TestTermGrid:
         # one step call per chain reaches m = +-200 or +-201 and the 8
         # look-ahead rows beyond, with no RuntimeWarning and finite values
         calls = []
-        grid = _TermGrid(partial(term_integrand, point, signed=True),
-                         _counting(make_step(point), calls))
+        grid = TermGrid(partial(term_integrand, point, signed=True),
+                        _counting(make_step(point), calls), _identity_map)
         nodes = levels(1)[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -698,8 +703,8 @@ class TestTermGrid:
         calls = (np.concatenate(nodes[:2]), nodes[2])
         got = []
         for order in ((near,), (far, near)):
-            grid = _TermGrid(partial(term_integrand, point, signed=True),
-                             make_step(point))
+            grid = TermGrid(partial(term_integrand, point, signed=True),
+                            make_step(point), _identity_map)
             for m in order:
                 f = grid.integrand(m)
                 values = [f(c) for c in calls]

@@ -20,6 +20,7 @@ from pentaq.integrators import (
     _power_sums,
     QuadratureResult,
     Tail,
+    TermGrid,
     TruncationPolicy,
     integrate_real_line,
     integrate_unit_circle,
@@ -39,11 +40,24 @@ class TestPolicy:
             TruncationPolicy(quadrature_abs_tol=float("nan"))
         with pytest.raises(ValueError):
             TruncationPolicy(max_refinements=2.5)
+        # the budget bounds _level's cache, and an infinite tolerance
+        # would call a level-1 integral converged
+        with pytest.raises(ValueError):
+            TruncationPolicy(max_refinements=17)
+        for name in ("quadrature_abs_tol", "quadrature_rel_tol",
+                     "sum_tail_tol"):
+            with pytest.raises(ValueError):
+                TruncationPolicy(**{name: math.inf})
 
     def test_policy_doubled_is_tighter(self):
         base = TruncationPolicy()
         tight = base.doubled()
         assert tight.quadrature_rel_tol < base.quadrature_rel_tol
+
+    def test_policy_doubled_stays_within_budget(self):
+        # the largest budget doubles to itself, not to a refused policy
+        assert TruncationPolicy(max_refinements=15).doubled() \
+            .max_refinements == 16
 
 
 class TestRealLine:
@@ -531,3 +545,63 @@ class TestBilateralSum:
         assert isinstance(res, QuadratureResult)
         assert res.evaluations > 0
         assert res.converged
+
+
+def _geometric_family(rho: float, a: float):
+    """Term m of a toy sum-integral: rho^|m| / (1 - a z) on the unit
+    circle, whose mean is rho^|m| for 0 < a < 1 (1/(1 - a^n) times that on
+    n roots of unity), and its step rho^(|m + 2| - |m|)."""
+    def direct(m):
+        return lambda z: rho ** abs(m) / (1 - a * z)
+
+    def step(ms, z):
+        return rho ** (np.abs(ms + 2) - np.abs(ms))[:, None] + 0 * z
+
+    return direct, step
+
+
+class TestTermGrid:
+    # how sum_of_integrals merges the inner integrals into the m-sum's
+    # result, on sums of closed form: (1 + rho)/(1 - rho), or 1025 terms
+    # of 1 when rho = 1
+    @pytest.mark.parametrize("rho, a, policy, value, converged", [
+        (0.5, 0.5, TruncationPolicy(), 3.0, True),
+        # two levels cannot resolve the pole at 1/0.95, so every inner
+        # integral is unconverged, at 1/(1 - 0.95^128) times its mean
+        (0.5, 0.95, TruncationPolicy(max_refinements=1),
+         3.0 / (1 - 0.95**128), False),
+        # rings that do not decay: the m-sum gives up after 512 rings
+        (1.0, 0.5, TruncationPolicy(), 1025.0, False),
+    ], ids=["converged", "inner-unconverged", "outer-unconverged"])
+    def test_sum_of_integrals_merges_inner_results(
+            self, monkeypatch, rho, a, policy, value, converged):
+        inner, outer = [], []
+
+        def engine(f, policy, conjugate_symmetric):
+            assert conjugate_symmetric is True
+            inner.append(integrate_unit_circle(f, policy,
+                                               conjugate_symmetric))
+            return inner[-1]
+
+        def recording_sum(term, tail, policy):
+            outer.append(sum_over_integers(term, tail, policy))
+            return outer[-1]
+
+        # the grid reaches the m-sum through the module global
+        monkeypatch.setattr(integrators, "sum_over_integers", recording_sum)
+        direct, step = _geometric_family(rho, a)
+        res = TermGrid(direct, step, lambda z: (z, 1.0)).sum_of_integrals(
+            engine, Tail(), policy)
+
+        [out] = outer
+        assert len(inner) == 2 * out.refinements_used + 1
+        assert res.value == out.value
+        assert res.value == pytest.approx(value, rel=1e-10)
+        assert res.evaluations == sum(r.evaluations for r in inner)
+        assert res.abs_error_estimate == out.abs_error_estimate + sum(
+            r.abs_error_estimate for r in inner)
+        assert res.converged is converged
+        assert res.converged == (out.converged
+                                 and all(r.converged for r in inner))
+        assert res.refinements_used == out.refinements_used
+        assert res.tail_estimate == out.tail_estimate
