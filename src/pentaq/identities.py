@@ -57,6 +57,7 @@ from .kernels import (
     b_idx,
 )
 from .special_functions import (
+    ConvergenceError,
     ModularPair,
     gamma as gamma_fn,
     log_gamma,
@@ -360,6 +361,18 @@ def verify_pentagon_hyperbolic(p: HyperbolicParams,
 # index pentagon
 # ---------------------------------------------------------------------------
 
+def _index_denominator(den, q: float):
+    """``den``, a product of the index LHS's denominator Pochhammer
+    symbols, refused by ConvergenceError where it is 0.  No pole lies on
+    the contour, so a 0 is an underflow, which would make the term 0/0:
+    at q = 0.99 each of the six factors is about e^{-160} where |x| is
+    near 1."""
+    if not np.all(den):
+        raise ConvergenceError(
+            f"index Pochhammer denominator underflows to 0 at q = {q}")
+    return den
+
+
 def _index_prefactor(p: IndexParams) -> float:
     """The m-independent Pochhammer ratio of every index m-term,
     prod_i (q^{T_i} a_i b_i; q)_inf / (q^{1+T_i} / (a_i b_i); q)_inf with
@@ -368,7 +381,7 @@ def _index_prefactor(p: IndexParams) -> float:
     tot = (np.array(p.n) + np.array(p.m)) / 2
     pref = qpoch_inf(np.concatenate([q**tot * a * b, q ** (1 + tot) / (a * b)]),
                      q)
-    return np.prod(pref[:3]) / np.prod(pref[3:])
+    return np.prod(pref[:3]) / _index_denominator(np.prod(pref[3:]), q)
 
 
 def _index_term_integrand(p: IndexParams, m_sum: int, signed: bool,
@@ -410,7 +423,7 @@ def _index_term_integrand(p: IndexParams, m_sum: int, signed: bool,
         vals = qpoch_inf(coef * np.where(by_z, z, 1 / z), q)
         # row by row, as np.prod does on two or more nodes but not on one
         return (scalar * z ** (-3 * m_sum) * math.prod(vals[:6])
-                / math.prod(vals[6:]))
+                / _index_denominator(math.prod(vals[6:]), q))
 
     return f
 

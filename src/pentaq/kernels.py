@@ -118,6 +118,22 @@ def b_beta(x, y) -> complex:
 # balanced parameter containers
 # ---------------------------------------------------------------------------
 
+def _set_fields(params, **fields) -> None:
+    """Store the normalized ``fields`` on the frozen container ``params``."""
+    for name, value in fields.items():
+        object.__setattr__(params, name, value)
+
+
+def _pairs(values) -> list:
+    """Complex ``values`` as the [re, im] pairs of a record."""
+    return [[v.real, v.imag] for v in values]
+
+
+def _complexes(pairs) -> tuple:
+    """A record's [re, im] pairs as complex numbers."""
+    return tuple(complex(re, im) for re, im in pairs)
+
+
 def _check_zero_sum(values, label: str) -> tuple:
     vals = tuple(values)
     if len(vals) != 3:
@@ -181,8 +197,7 @@ class HyperbolicParams:
         if not self.kappa > 0:
             raise ValueError(f"integrand does not decay: "
                              f"kappa = 2 pi Re(1/w1 + 1/w2) = {self.kappa}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _set_fields(self, a=a, b=b)
 
     @property
     def kappa(self) -> float:
@@ -199,22 +214,14 @@ class HyperbolicParams:
         return cls((a1, a2, a3), (b1, b2, b3), omega)
 
     def to_record(self) -> dict:
-        return {
-            "identity": "hyperbolic",
-            "a": [[v.real, v.imag] for v in self.a],
-            "b": [[v.real, v.imag] for v in self.b],
-            "omega1": [self.omega.omega1.real, self.omega.omega1.imag],
-            "omega2": [self.omega.omega2.real, self.omega.omega2.imag],
-        }
+        omega1, omega2 = _pairs((self.omega.omega1, self.omega.omega2))
+        return {"identity": "hyperbolic", "a": _pairs(self.a),
+                "b": _pairs(self.b), "omega1": omega1, "omega2": omega2}
 
     @classmethod
     def from_record(cls, rec: dict) -> "HyperbolicParams":
-        omega = ModularPair(complex(*rec["omega1"]), complex(*rec["omega2"]))
-        return cls(
-            tuple(complex(re, im) for re, im in rec["a"]),
-            tuple(complex(re, im) for re, im in rec["b"]),
-            omega,
-        )
+        omega = ModularPair(*_complexes((rec["omega1"], rec["omega2"])))
+        return cls(_complexes(rec["a"]), _complexes(rec["b"]), omega)
 
 
 @dataclass(frozen=True)
@@ -236,18 +243,12 @@ class IndexParams:
     q: float
 
     def __post_init__(self) -> None:
-        s = _positive_half_triple(self.s, "s")
-        t = _positive_half_triple(self.t, "t")
-        n = _check_zero_sum(self.n, "n")
-        m = _check_zero_sum(self.m, "m")
-        qv = float(self.q)
-        if not 0 < qv < 1:
-            raise ValueError(f"need 0 < q < 1, got {qv}")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "q", qv)
+        _set_fields(self, s=_positive_half_triple(self.s, "s"),
+                    t=_positive_half_triple(self.t, "t"),
+                    n=_check_zero_sum(self.n, "n"),
+                    m=_check_zero_sum(self.m, "m"), q=float(self.q))
+        if not 0 < self.q < 1:
+            raise ValueError(f"need 0 < q < 1, got {self.q}")
 
     @classmethod
     def balanced(cls, s1, s2, t1, t2, n1, n2, m1, m2, q) -> "IndexParams":
@@ -273,8 +274,7 @@ class IndexParams:
 
     @classmethod
     def from_record(cls, rec: dict) -> "IndexParams":
-        return cls(tuple(rec["s"]), tuple(rec["t"]),
-                   tuple(rec["n"]), tuple(rec["m"]), rec["q"])
+        return cls(rec["s"], rec["t"], rec["n"], rec["m"], rec["q"])
 
 
 @dataclass(frozen=True)
@@ -291,22 +291,18 @@ class GammaParams:
     m: tuple
 
     def __post_init__(self) -> None:
-        alpha = _positive_half_triple(self.alpha, "alpha")
-        beta = _positive_half_triple(self.beta, "beta")
-        n = _check_zero_sum(self.n, "n")
-        m = _check_zero_sum(self.m, "m")
+        _set_fields(self, alpha=_positive_half_triple(self.alpha, "alpha"),
+                    beta=_positive_half_triple(self.beta, "beta"),
+                    n=_check_zero_sum(self.n, "n"),
+                    m=_check_zero_sum(self.m, "m"))
         for i in range(3):
             for j in range(3):
-                arg = alpha[i] + beta[j] + (n[i] + m[j]) / 2
+                arg = self.alpha[i] + self.beta[j] + (self.n[i] + self.m[j]) / 2
                 if abs(2 * arg - round(2 * arg)) < 1e-9:
                     raise ValueError(
                         "degenerate pairwise sum (integer or half-integer): "
                         f"alpha_{i}+beta_{j}+(n+m)/2 = {arg}"
                     )
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
 
     @classmethod
     def balanced(cls, a1, a2, b1, b2, n1=0, n2=0, m1=0, m2=0) -> "GammaParams":
@@ -327,8 +323,7 @@ class GammaParams:
 
     @classmethod
     def from_record(cls, rec: dict) -> "GammaParams":
-        return cls(tuple(rec["alpha"]), tuple(rec["beta"]),
-                   tuple(rec["n"]), tuple(rec["m"]))
+        return cls(rec["alpha"], rec["beta"], rec["n"], rec["m"])
 
 
 @dataclass(frozen=True)
@@ -340,24 +335,18 @@ class BetaParams:
 
     def __post_init__(self) -> None:
         a, b = _separated_pairs(self.a, self.b, 1)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        _set_fields(self, a=a, b=b)
 
     @classmethod
     def balanced(cls, a1, a2, a3, b1, b2) -> "BetaParams":
         return cls((a1, a2, a3), (b1, b2, 1 - (a1 + a2 + a3 + b1 + b2)))
 
     def to_record(self) -> dict:
-        return {
-            "identity": "beta",
-            "a": [[v.real, v.imag] for v in self.a],
-            "b": [[v.real, v.imag] for v in self.b],
-        }
+        return {"identity": "beta", "a": _pairs(self.a), "b": _pairs(self.b)}
 
     @classmethod
     def from_record(cls, rec: dict) -> "BetaParams":
-        return cls(tuple(complex(re, im) for re, im in rec["a"]),
-                   tuple(complex(re, im) for re, im in rec["b"]))
+        return cls(_complexes(rec["a"]), _complexes(rec["b"]))
 
 
 # ---------------------------------------------------------------------------

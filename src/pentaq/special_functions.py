@@ -5,9 +5,15 @@ B_{2,2}, the hyperbolic gamma function, the dilogarithm and Rogers'
 dilogarithm.  Everything multiplicative is available in log-space so that
 products of dozens of gamma-type factors never overflow double precision.
 
-All functions accept numpy arrays where it makes sense (the identity
-evaluators batch whole contour grids through single calls) and are pure
-functions of their arguments, safe to call from multiple threads.  The
+The identity evaluators batch whole contour grids through single calls,
+so the functions of one array argument share one convention
+(:func:`_flat_array_arg`): ``log_gamma``, ``qpoch_inf``, ``log_qpoch_inf``,
+``bernoulli_b22`` and ``log_hyperbolic_gamma`` take their first argument
+as a scalar or a numpy array of any shape and return a Python complex for
+a scalar or 0-d argument, and otherwise an array of the argument's shape,
+whose elements are those of the call on the same values as a flat array.
+All functions are pure functions of their arguments, safe to call from
+multiple threads.  The
 module's one piece of state is a bounded cache of read-only per-nome
 tables, the powers q^k and series coefficients of the q-Pochhammer core
 (:func:`_nome_table`); a table is the same whether built or reused, so no
@@ -104,27 +110,36 @@ class ModularPair:
         return self.omega1 + self.omega2
 
 
+def _flat_array_arg(fn):
+    """The array convention of the module docstring for ``fn``, which
+    computes on its first argument as a flat complex array."""
+    @functools.wraps(fn)
+    def flat(x, *args, **kwargs):
+        arr = np.asarray(x, dtype=complex)
+        out = fn(arr.reshape(-1), *args, **kwargs)
+        return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+    return flat
+
+
 # ---------------------------------------------------------------------------
 # gamma function
 # ---------------------------------------------------------------------------
 
+@_flat_array_arg
 def log_gamma(z):
     """Principal-branch log of Gamma(z) for complex z (array-capable).
 
     Raises PoleError for arguments within 1e-12 of a nonpositive integer.
     """
-    arr = np.asarray(z, dtype=complex)
     # only the near-real elements can be poles; they are few (the node
     # u = 0 of a quadrature level), so the rest of the test runs on them
-    near_real = arr[np.abs(arr.imag) < 1e-12]
+    near_real = z[np.abs(z.imag) < 1e-12]
     x = near_real.real
     poles = near_real[(x <= 1e-12) & (np.abs(x - np.round(x)) < 1e-12)]
     if poles.size:
         raise PoleError(f"log_gamma pole at z = {poles[0]}")
-    out = _scipy_loggamma(arr)
-    if arr.ndim == 0:
-        return complex(out)
-    return out
+    return _scipy_loggamma(z)
 
 
 def gamma(z):
@@ -268,6 +283,7 @@ def _nome_table(q: complex, J: int):
     return powers, tuple(coef[::-1].tolist())
 
 
+@_flat_array_arg
 def qpoch_inf(a, q):
     """The infinite q-Pochhammer symbol (a; q)_inf = prod_{k>=0} (1 - a q^k).
 
@@ -284,22 +300,19 @@ def qpoch_inf(a, q):
     series would exceed _MAX_FACTORS.
     """
     qv = _check_nome(q)
-    arr = np.asarray(a, dtype=complex)
     if qv == 0:
-        out = 1.0 - arr
-        return complex(out) if arr.ndim == 0 else out
-    shape = arr.shape
-    arr = arr.reshape(-1)   # scalars take the array path too
-    finite = np.isfinite(arr)
+        return 1.0 - a
+    finite = np.isfinite(a)
     if not finite.all():
-        arr = np.where(finite, arr, 0)
-    blocks, series = _head_series(arr, qv, float(np.abs(arr).max(initial=0.0)))
+        a = np.where(finite, a, 0)
+    blocks, series = _head_series(a, qv, float(np.abs(a).max(initial=0.0)))
     out = math.prod(blocks) * np.exp(-series)
     if not finite.all():
         out[~finite] = complex(np.nan, np.nan)
-    return complex(out[0]) if shape == () else out.reshape(shape)
+    return out
 
 
+@_flat_array_arg
 def log_qpoch_inf(a, q):
     """log (a; q)_inf modulo 2 pi i (array-capable in `a`): not a sum of
     principal logs, so callers exponentiate.
@@ -337,30 +350,26 @@ def log_qpoch_inf(a, q):
     exactly.
     """
     qv = _check_nome(q)
-    arr = np.asarray(a, dtype=complex)
     if qv == 0:
-        out = np.log(1.0 - arr)
-        return complex(out) if arr.ndim == 0 else out
-    shape = arr.shape
-    arr = arr.reshape(-1)   # scalars take the array path too
+        return np.log(1.0 - a)
     log_q = cmath.log(qv)
     # a = 0 gives log|a| = -inf and j = -inf: nothing to split; a zero
     # factor gives log(0) = -inf, which exponentiates to an exact zero
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_abs = np.log(np.abs(arr))
+        log_abs = np.log(np.abs(a))
         j = np.floor(log_abs / -log_q.real) + 1
         # only elements with factors to split (j >= 1) take the two further
         # products and the monomial; elsewhere both products are 1
         split = np.flatnonzero(j > 0)
         j = j[split]
-        a_split = arr[split]
+        a_split = a[split]
         q_j = qv**j
-        c = arr.copy()
+        c = a.copy()
         c[split] = a_split * q_j
         # q/c as 1/(a q^{j-1}), exactly 1 where a q^{j-1} is
         inv = 1.0 / (a_split * qv ** (j - 1))
         x = np.concatenate([c, inv, inv * q_j])
-        n, m = arr.size, split.size
+        n, m = a.size, split.size
         # two elements or more, so that the head is reduced row by row
         blocks, series = _head_series(np.append(x, 0) if x.size == 1 else x,
                                       qv)
@@ -382,7 +391,7 @@ def log_qpoch_inf(a, q):
         mono.real += half * log_q.real
         mono.imag += half * log_q.imag
         out[split] = mono
-    return complex(out[0]) if shape == () else out.reshape(shape)
+    return out
 
 
 def _complex_log(z):
@@ -428,6 +437,7 @@ def qpoch_ratio_regularized(alpha, beta, q):
 # Bernoulli polynomial and hyperbolic gamma
 # ---------------------------------------------------------------------------
 
+@_flat_array_arg
 def bernoulli_b22(u, omega):
     """The second Bernoulli polynomial B_{2,2}(u; omega1, omega2).
 
@@ -443,12 +453,11 @@ def bernoulli_b22(u, omega):
     # Horner's rule, u (u / (w1 w2) - (1/w1 + 1/w2)) + const, with the
     # coefficients formed once on scalars: four array operations where the
     # expanded form takes seven
-    u = np.asarray(u, dtype=complex)
-    out = (u * (u * (1 / (w1 * w2)) - (1 / w1 + 1 / w2))
-           + (w1 / (6 * w2) + w2 / (6 * w1) + 0.5))
-    return complex(out) if out.ndim == 0 else out
+    return (u * (u * (1 / (w1 * w2)) - (1 / w1 + 1 / w2))
+            + (w1 / (6 * w2) + w2 / (6 * w1) + 0.5))
 
 
+@_flat_array_arg
 def log_hyperbolic_gamma(u, omega: ModularPair):
     """log of the hyperbolic gamma function gamma^(2)(u; omega1, omega2).
 
@@ -480,9 +489,6 @@ def log_hyperbolic_gamma(u, omega: ModularPair):
             "near-degenerate quasi-period pair: "
             f"|q| = {abs(qv):.6f}, |q~| = {abs(qd):.6f} exceed {1 - EPS_MODULAR}"
         )
-    u = np.asarray(u, dtype=complex)
-    shape = u.shape
-    u = u.reshape(-1)   # scalars take the array path too
     b22 = bernoulli_b22(u, omega)
     with np.errstate(over="ignore", invalid="ignore"):
         num_arg = np.exp(2j * np.pi * u / omega.omega1) * qd
@@ -500,8 +506,7 @@ def log_hyperbolic_gamma(u, omega: ModularPair):
         raise PoleError("hyperbolic gamma pole: denominator factor vanished")
     if not np.isfinite(log_num).all():
         raise PoleError("hyperbolic gamma zero: numerator factor vanished")
-    out = -1j * np.pi * b22 / 2 + log_num - log_den
-    return complex(out[0]) if shape == () else out.reshape(shape)
+    return -1j * np.pi * b22 / 2 + log_num - log_den
 
 
 def hyperbolic_gamma(u, omega: ModularPair):

@@ -12,12 +12,16 @@ subprocess, which runs through the ``pentaq`` command line:
 - ``verify --random 4`` for every identity with random points, on each of
   SEEDS, and again with ``--convention printed`` for index, gamma and beta;
 - ``verify --identity operator``, the exact operator check;
-- ``limit-study q-to-1`` on each of SEEDS, and ``limit-study omega``.
+- ``limit-study q-to-1`` on each of SEEDS, and ``limit-study omega``;
+- ``selfcheck``, which prints each golden special-function value's
+  relative error to four digits;
+- ``expand-operator --max-degree 8 --q 2/5``, the exact operator series.
 
 The seeds are held out: the report snapshots under ``tests/data`` use
 seed 0.  Each run prints a line naming its arguments and exit code, then
-its records, one per line, with ``timestamp`` and ``wall_time`` removed at
-every depth and every other key in its order.  This file is a tool, not a
+its output, one JSON line per line: a record with ``timestamp`` and
+``wall_time`` removed at every depth and every other key in its order, and
+any line that is not JSON as a JSON string.  This file is a tool, not a
 test: pytest collects only ``test_*.py``.
 """
 
@@ -65,6 +69,8 @@ def runs() -> list[list[str]]:
                 for identity in PRINTED_IDENTITIES]
         out.append(["limit-study", "q-to-1", "--seed", seed])
     out.append(["limit-study", "omega"])
+    out.append(["selfcheck"])
+    out.append(["expand-operator", "--max-degree", "8", "--q", "2/5"])
     return out
 
 
@@ -78,13 +84,23 @@ def strip(value):
     return value
 
 
+def as_json_line(line: str) -> str:
+    """One output line as a JSON line: a record without the VOLATILE keys,
+    or a line that is not JSON as a JSON string."""
+    try:
+        value = strip(json.loads(line))
+    except json.JSONDecodeError:
+        value = line
+    return json.dumps(value) + "\n"
+
+
 def digest(checkout: Path) -> str:
     src = str((checkout / "src").resolve())
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", _DRIVER, src],
                           input=json.dumps(runs()), env=env,
                           capture_output=True, text=True, check=True)
-    return "".join(json.dumps(strip(json.loads(line))) + "\n"
+    return "".join(as_json_line(line)
                    for line in proc.stdout.splitlines() if line)
 
 

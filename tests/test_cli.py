@@ -148,6 +148,23 @@ class TestVerify:
         assert good["index"] == 1 and good["passed"]
         assert summary["passed"] == 1 and summary["failed"] == 1
 
+    def test_index_underflow_gives_named_error_record(self, runner,
+                                                      tmp_path):
+        # at q = 0.99 the index LHS's denominator Pochhammer product
+        # underflows to 0; the record names the cause and the run goes on
+        recs = [{"s": [0.1, 0.15, 0.25], "t": [0.2, 0.12, 0.18],
+                 "n": [1, 0, -1], "m": [0, 1, -1], "q": q}
+                for q in (0.99, 0.35)]
+        f = tmp_path / "pts.jsonl"
+        f.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+        res = runner.invoke(main, ["verify", "--identity", "index",
+                                   "--params", str(f)])
+        assert res.exit_code == 1, res.output
+        _, bad, good, _ = jsonl(res.output)
+        assert bad["error"] == ("ConvergenceError: index Pochhammer "
+                                "denominator underflows to 0 at q = 0.99")
+        assert good["passed"]
+
     def test_beta_exits_nonzero(self, runner):
         res = runner.invoke(main, ["verify", "--identity", "beta",
                                    "--random", "2",

@@ -316,6 +316,16 @@ class TestIndex:
         assert rep.passed and rep.rel_residual <= 1e-8
         assert diag["abs_error_estimate"] >= rep.abs_residual
 
+    @pytest.mark.parametrize("q", [0.99, 0.995])
+    def test_denominator_underflow_refused_by_name(self, q):
+        # near q = 1 a product of the six denominator Pochhammer symbols
+        # underflows to 0 (of the term integrand at q = 0.99, of the
+        # prefactor at q = 0.995), which would make a term 0/0
+        p = IndexParams((0.1, 0.15, 0.25), (0.2, 0.12, 0.18), (1, 0, -1),
+                        (0, 1, -1), q)
+        with pytest.raises(ConvergenceError, match=f"underflow.*q = {q}"):
+            eval_index_lhs(p)
+
     def test_one_qpoch_call_per_batch(self, monkeypatch):
         # qpoch_inf takes one call on 12 rows per direct-term integrand
         # level, one for the prefactor that both direct terms share, one

@@ -145,6 +145,33 @@ class TestTypes:
             ModularPair(0.0, 1.0)
 
 
+# the functions of the module's array convention, each with the arguments
+# that follow its array argument
+ARRAY_CONVENTION = [
+    pytest.param(fn, args, id=fn.__name__) for fn, args in (
+        (log_gamma, ()),
+        (qpoch_inf, (0.35,)),
+        (log_qpoch_inf, (0.35,)),
+        (bernoulli_b22, ((0.4 + 0.9j, 1.0),)),
+        (log_hyperbolic_gamma, (CRITERION_3_PAIRS[0],)))]
+
+
+class TestArrayConvention:
+    @pytest.mark.parametrize("fn, args", ARRAY_CONVENTION)
+    def test_scalar_gives_complex_and_array_keeps_shape(self, fn, args):
+        x = np.array([[0.3 + 0.1j, 0.45, 1.7 - 0.2j],
+                      [0.2 + 0.3j, 0.9 - 0.4j, 2.5]])
+        for scalar in (0.45, np.array(0.45)):
+            got = fn(scalar, *args)
+            assert type(got) is complex
+            assert got == fn(np.array([0.45]), *args)[0]
+        # bit-equal to the flat call on the same values, not to calls per
+        # element: qpoch_inf's head length depends on the largest |a|
+        got = fn(x, *args)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got, fn(x.reshape(-1), *args).reshape(2, 3))
+
+
 class TestLogGamma:
     def test_identity_points(self):
         assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
