@@ -126,12 +126,9 @@ Q_TO_1_U_PROBES = (0.1, 0.35)
 OMEGA_Z_VALUES = (0.17, 0.3, 0.42)
 OMEGA_T_SEQUENCE = (5.0, 10.0, 20.0)
 OMEGA_PHASE = math.pi / 4
-# The tan-map scale u = _GAMMA_SCALE * tan(theta) of every gamma m-term; one
-# scale for all m lets the terms share their nodes (eval_gamma_lhs).  On the
-# 210 points of sample_gamma seeds 60-69 (21 each), L = 1, 1.2, 1.3, 1.35,
-# 1.4, 1.5, 1.6, 1.75 and 2 gave 5,355, 4,962, 4,952, 4,924, 4,909, 4,937,
-# 5,057, 5,229 and 5,469 evaluations per point, at equal accuracy.
-_GAMMA_SCALE = 1.4
+# The power A of the map u = delta sinh(A asinh t) of every gamma m-term
+# (_pole_strip_map, eval_gamma_lhs): far out u grows like t^A.
+_GAMMA_MAP_POWER = 4
 # The parameter c of the circle map z = (w + c)/(1 + c w) of every index
 # m-term, which clusters the nodes at z = 1 (_cluster_at_one,
 # eval_index_lhs).
@@ -649,11 +646,17 @@ def _gamma_term_integrand(p: GammaParams, m_sum: int, signed: bool):
     -pi |u| / 2 + i (u log|u| - u) up to a sign, and their difference is
     O(log|u|): the rows are subtracted in these pairs first, then the six
     differences added one at a time.  Summing the six numerator logs first
-    adds logs of magnitude |u| log|u|, and at the endpoint node
-    u = -1.6e16 the rounding of such a sum (an ulp of 1e17 is 16) left the
-    real part tens too large, the value e^{45} times too large.  Each step
-    is elementwise, so a node's value does not depend on the other nodes
-    of its call (a matrix product's rounding depends on a node's column).
+    adds logs of magnitude |u| log|u|: at u = -1.6e16 the rounding of such
+    a sum (an ulp of 1e17 is 16) left the real part tens too large, the
+    value e^{45} times too large.  The order still matters on high
+    refinements: eval_gamma_lhs's map puts the outermost nodes of a level
+    of n nodes at |u| of about delta (2n/pi)^4 / 2, up to the 1e12 beyond
+    which it gives nodes weight 0 (_pole_strip_map), from level 6 on.  At
+    |u| = 1e12 the pairs kept three sampled terms to 0.02-0.4%, where
+    summing first lost 0.5-1.6%; at 1e14, to 5-11% against 93-150%.  Each
+    step is elementwise, so a node's value does not depend on the other
+    nodes of its call (a matrix product's rounding depends on a node's
+    column).
     """
     alpha, beta = np.array(p.alpha), np.array(p.beta)
     k = (np.array(p.n) + m_sum) / 2
@@ -698,6 +701,39 @@ def _gamma_step(p: GammaParams):
     return step
 
 
+def _pole_strip_map(t, delta: float):
+    """The nodes t of the whole line mapped to u = delta sinh(A asinh t),
+    A = _GAMMA_MAP_POWER, and the weight du/dt =
+    delta A cosh(A asinh t) / sqrt(1 + t^2): the integral over t of f(u(t))
+    times the weight is the integral of f over u.
+
+    u = delta sinh s maps the strip |Im s| < pi/2 onto the u-plane cut
+    along the imaginary axis beyond +-i delta, and s = A asinh t takes the
+    tan rule's nodes t = tan theta onto the whole s-line; A = 1 with
+    delta = L is the plain scale u = L t.  Far out u is about
+    delta (2 t)^A / 2: on level j, of n = 64 * 2**j nodes, the outermost
+    node but the endpoint has t = -cot(pi/n), about -n/pi, so |u| reaches
+    about delta (2n/pi)^A / 2, 3.5e8 delta on level 2.
+
+    A node with |u| > 1e12 gets weight 0, at u = 0.  A gamma term's logs
+    are about pi |u| / 2 in size, and their rounding grows with them: the
+    term (see _gamma_term_integrand) is good to 0.02-0.4% at |u| = 1e12,
+    to 5-11% at 1e14, and from 1e17 on the pairwise differences of its
+    logs are lost; at 1e18 it came out 1/(2 pi), 1e72 times too large,
+    and level 11 of its quadrature summed to 1e18.  The line beyond
+    |u| = 1e12 carries below |u|^{-3} / (3 pi) = 1e-37 of a term, which
+    decays like |u|^{-4} / (2 pi).  Such nodes appear from level 6 on, and
+    on level 0 the rule's endpoint t = tan(-pi/2), which rounds to -1.6e16
+    and stands for u = -infinity: it adds exactly its limit 0.
+    """
+    s = _GAMMA_MAP_POWER * np.arcsinh(t)
+    u = delta * np.sinh(s)
+    kept = np.abs(u) <= 1e12
+    return (np.where(kept, u, 0.0),
+            np.where(kept, delta * _GAMMA_MAP_POWER * np.cosh(s)
+                     / np.hypot(1.0, t), 0.0))
+
+
 def eval_gamma_lhs(p: GammaParams, policy: TruncationPolicy = DEFAULT_POLICY,
                    convention: str = "resolved") -> QuadratureResult:
     """The sum-integral side: sum over m of real-line integrals du/(2 pi).
@@ -706,15 +742,56 @@ def eval_gamma_lhs(p: GammaParams, policy: TruncationPolicy = DEFAULT_POLICY,
     (1/2 pi)(m^2/4 + u^2)^{-2}: like |u|^{-4} in u and, integrated over u,
     like 2|m|^{-3} in m.  So the rings (m and -m together) tend to 4/M^3, at
     any spins, and alternate in sign in the printed convention; the m-sum's
-    tail model takes that exact leading term.  With positive alpha, beta
-    (enforced by GammaParams) no integrand pole ever touches the real line,
-    for any zero-sum spins, so the straight contour is always correct.
+    tail model takes that exact leading term.
+
+    Every pole of every term lies on the imaginary u-axis.  In the row pair
+    Gamma(a_i + k_i) / Gamma(1 - a_i + k_i) the poles at
+    u = i (alpha_i + k_i + j), j >= 0, that the zeros of the denominator
+    do not cancel are those with Im u >= alpha_i + |k_i|; in
+    Gamma(b_i + l_i) / Gamma(1 - b_i + l_i) they lie at
+    Im u <= -(beta_i + |l_i|).  So with positive alpha, beta (enforced by
+    GammaParams) every pole keeps at least delta = min(alpha, beta) from
+    the real line, for any m and any zero-sum spins, and the straight
+    contour is always correct.  delta is 0.05-0.4 on sample_gamma, and
+    the trapezoid rule converges like e^{-2 n d} for poles at distance d
+    from its real axis (Trefethen and Weideman, SIAM Rev. 2014).  So the
+    terms are integrated over t of the whole line with
+    u = delta sinh(A asinh t), A = _GAMMA_MAP_POWER = 4, and its weight
+    (:func:`_pole_strip_map`), which the grid applies once per engine call
+    for every term.  delta sinh s maps the strip |Im s| < pi/2 onto the
+    plane cut along the imaginary axis beyond +-i delta, so every pole of
+    every term lies on the strip's edge, whatever m is; s = A asinh t
+    takes the line onto the tan rule, t = tan theta, without truncation
+    (a conformal map that moves the nodes toward the singularities, as in
+    Hale and Trefethen, SIAM J. Numer. Anal. 2008).  Near u = 0 the poles
+    then lie about pi/(2A) = 0.39 from the real theta-axis, at any delta.
+    The plain scale u = 1.4 t put the nearest pole atanh(delta / 1.4) =
+    0.036 from it at delta = 0.05, and the terms near m = 0 took 256-512
+    nodes.  On 200 points of sample_gamma (seed 777), per point, against
+    4,527 evaluations and 419 ``log_gamma`` nodes of the direct terms with
+    the plain scale, all at the same worst residual, 3.33e-12:
+
+        ==================  ===========  ==================
+        map                 evaluations  ``log_gamma`` nodes
+        ==================  ===========  ==================
+        A = 3               4,690        235
+        A = 4               3,730        158
+        A = 5               3,653        150
+        A = 6               4,195        206
+        A = 4, delta / 2    5,243        251
+        A = 4, delta * 2    3,772        215
+        ==================  ===========  ==================
+
+    A = 4 and A = 5 are within 2%; the smaller power keeps the nodes
+    nearer, |u| = delta (2n/pi)^A / 2 on a level of n nodes, so that the
+    map gives weight 0 to nodes beyond |u| = 1e12 from level 6 on, not
+    from level 4.  A pole at alpha_1 = 1e-4 took 12,032 evaluations with
+    the map and 265,472 with the plain scale.
 
     The terms share the nodes of each call of :func:`integrate_real_line`,
-    mapped once per call to the scale u = _GAMMA_SCALE * t with weight
-    _GAMMA_SCALE, in a :class:`TermGrid`, which stores them: the terms
-    m = 0 and m = 1 are evaluated directly, and every other term is built
-    from its neighbour m -+ 2 by a step.  From m to m + 2 every gamma
+    mapped once per call, in a :class:`TermGrid`, which stores them: the
+    terms m = 0 and m = 1 are evaluated directly, and every other term is
+    built from its neighbour m -+ 2 by a step.  From m to m + 2 every gamma
     argument moves by one, and Gamma(z + 1) = z Gamma(z), so the step
     multiplies the integrand by
 
@@ -735,7 +812,8 @@ def eval_gamma_lhs(p: GammaParams, policy: TruncationPolicy = DEFAULT_POLICY,
     signed = _check_convention(convention)
     tail = Tail(power=3, leading=4.0, alternating=not signed)
     return TermGrid(partial(_gamma_term_integrand, p, signed=signed),
-                    _gamma_step(p), lambda t: (_GAMMA_SCALE * t, _GAMMA_SCALE),
+                    _gamma_step(p),
+                    partial(_pole_strip_map, delta=min(p.alpha + p.beta)),
                     ).sum_of_integrals(integrate_real_line, tail, policy)
 
 

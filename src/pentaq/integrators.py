@@ -421,7 +421,8 @@ def sum_over_integers(term, tail: Tail = Tail(),
 
     Symmetric rings r_M = term(M) + term(-M) are accumulated outward.  From
     ring 8 on, the running sum is corrected by the remainder that the
-    caller's tail model predicts, until the model's error estimate is below
+    caller's tail model predicts, until the model's error estimate, never
+    below an ulp of |estimate|, is below
     max(sum_tail_tol, sum_tail_tol * |estimate|), or else ``converged`` is
     False after ``_MAX_RINGS`` rings.  Rings growing eight times in a row,
     or a running sum that is not finite, raise ConvergenceError.
@@ -449,7 +450,9 @@ def sum_over_integers(term, tail: Tail = Tail(),
             continue
         correction, drift = tail.remainder(rings)
         estimates.append(total + correction)
-        err = max(tail.error(estimates), drift)
+        # estimates that repeat bit for bit show no change, not no error:
+        # the estimate is known to its rounding at best
+        err = max(tail.error(estimates), drift, math.ulp(abs(estimates[-1])))
         converged = err < max(policy.sum_tail_tol,
                               policy.sum_tail_tol * abs(estimates[-1]))
         if converged:

@@ -17,13 +17,13 @@ from pentaq.identities import (
     _cluster_at_one,
     _gamma_term_integrand,
     _gate,
-    _GAMMA_SCALE,
     _gamma_step,
     _hyperbolic_integrand,
     _hyperbolic_scalars,
     _index_prefactor,
     _index_step,
     _index_term_integrand,
+    _pole_strip_map,
     equivalence_check_gamma_rhs,
     eval_beta_lhs,
     eval_beta_rhs,
@@ -54,6 +54,7 @@ from pentaq.kernels import (
 )
 from pentaq.integrators import (
     _FIRST_NODES,
+    _level,
     DEFAULT_POLICY,
     TermGrid,
     TruncationPolicy,
@@ -86,14 +87,17 @@ def _circle_levels(count: int) -> list:
 
 def _line_levels(count: int) -> list:
     """The new nodes of integrate_real_line's first ``count`` levels on the
-    whole line, scaled to eval_gamma_lhs's u = _GAMMA_SCALE * tan(theta):
-    x = k/n, all 64 of them and then the odd k of 128, 256, ...; level 0
-    holds u = 0 and the endpoint tan(-pi/2) = -1.6e16."""
+    whole line, mapped as eval_gamma_lhs maps them at delta = min(alpha,
+    beta) = 0.4, the top of sample_gamma's box, so as far out as for any
+    sampled point: u = _pole_strip_map(tan(theta), 0.4), x = k/n, all 64 of
+    them and then the odd k of 128, 256, ...  Level 2 reaches
+    |u| = 1.4e8; level 0 holds u = 0 twice, as the centre and as the image
+    of the endpoint tan(-pi/2) = -1.6e16."""
     levels = []
     for j in range(count):
         n = 64 * 2**j
         x = (np.arange(1, n, 2) if j else np.arange(n)) / n
-        levels.append(_GAMMA_SCALE * np.tan(np.pi * (x - 0.5)))
+        levels.append(_pole_strip_map(np.tan(np.pi * (x - 0.5)), 0.4)[0])
     return levels
 
 
@@ -571,19 +575,44 @@ class TestGamma:
         assert sorted(calls) == sorted((12, n) for sizes in
                                        direct_levels.values() for n in sizes)
 
-    def test_endpoint_node_is_negligible(self):
-        # at u = -1.6e16 each log_gamma row is about 1e17, whose ulp is 16;
-        # subtracting the rows in pairs that grow alike keeps the weighted
-        # value near its true size, about 1e-31, where summing the six
-        # numerator and six denominator logs first gave up to 4.7e-9
-        line = _line_levels(1)[0][:1]
-        weight = _GAMMA_SCALE * np.pi * (line / _GAMMA_SCALE) ** 2
+    def test_node_map_contract(self):
+        # every node of levels 0-2 maps to a finite u with a finite weight;
+        # the endpoint tan(-pi/2) = -1.6e16 has weight exactly 0, and at the
+        # outermost other node, t = -81.5 on level 2, u = -3.5e8 delta, the
+        # weighted term is about 1e-24 at delta = 0.05 (|u|^{-4} / 2 pi
+        # times du/dt), and rounding of the logs would show far above it
+        t = np.concatenate([_level(call, False)[3][0] for call in (0, 1)])
+        assert t[0] == np.tan(-np.pi / 2)
+        outer = 1 + np.argmax(np.abs(t[1:]))
         rng = np.random.default_rng(0)
         for _ in range(50):
             p = sample_gamma(rng)
+            u, weight = _pole_strip_map(t, min(p.alpha + p.beta))
+            assert np.all(np.isfinite(u)) and np.all(np.isfinite(weight)), p
+            assert weight[0] == 0.0, p
             for m in range(-3, 4):
-                value = _gamma_term_integrand(p, m, True)(line)[0]
-                assert abs(value * weight[0]) < 1e-20, (p, m)
+                value = _gamma_term_integrand(p, m, True)(u[outer:outer + 1])
+                assert abs(value[0] * weight[outer]) < 1e-20, (p, m)
+
+    def test_deepest_level_stays_on_the_integral(self):
+        # level 12's nodes reach |u| = 2e19, where a term's logs lose their
+        # pairwise differences and the term came out 1e72 times too large;
+        # the map gives every node beyond |u| = 1e12 weight 0, so the rule
+        # on all 2**18 nodes keeps the converged value
+        p = sample_gamma(np.random.default_rng(1))
+        f = _gamma_term_integrand(p, 0, True)
+
+        def weighted(t):
+            u, weight = _pole_strip_map(t, min(p.alpha + p.beta))
+            return f(u) * weight
+
+        total = 0.0
+        for call in range(DEFAULT_POLICY.max_refinements):
+            _, weights, _, (t, dt), _ = _level(call, True)
+            total += weights @ (weighted(t) * dt).real
+        deepest = total / (_FIRST_NODES << DEFAULT_POLICY.max_refinements)
+        converged = integrate_real_line(weighted, conjugate_symmetric=True)
+        assert deepest == pytest.approx(converged.value, rel=1e-14)
 
     def test_product_side_in_one_call_per_factor(self, monkeypatch):
         # outside the sum-integral, one log_gamma call for each kernel of
@@ -612,6 +641,20 @@ class TestGamma:
             diag = verify_pentagon_gamma(p).truncation_diagnostics
             assert diag["sum_integral"]["converged"], p
             assert diag["sum_integral"]["evaluations"] <= 25_000, p
+
+    @pytest.mark.parametrize("alpha1, budget", [(1e-3, 8_000),
+                                                (1e-4, 12_500)])
+    def test_pole_near_real_line_converges_cheaply(self, alpha1, budget):
+        # the nearest poles lie at u = +-i alpha1; the map puts them on the
+        # edge of its strip however close they come, so the node count
+        # grows slowly (7,936 and 12,032 evaluations), where the scale
+        # u = 1.4 t took 36,096 and 265,472
+        p = GammaParams((alpha1, 0.3 - alpha1, 0.2), (0.2, 0.17, 0.13),
+                        (1, -1, 0), (0, 1, -1))
+        rep = verify_pentagon_gamma(p)
+        assert rep.passed
+        assert rep.truncation_diagnostics["sum_integral"][
+            "evaluations"] <= budget
 
     def test_error_estimate_covers_residual(self):
         # the sum-integral's estimate, which counts the inner integrals'

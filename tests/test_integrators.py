@@ -493,6 +493,16 @@ class TestBilateralSum:
         res = sum_over_integers(lambda m: 1.0 if m == 0 else 0.0)
         assert res.value == pytest.approx(1.0)
 
+    def test_error_estimate_floored_at_rounding(self):
+        # the estimates repeat bit for bit, but a repeat shows no change,
+        # not an error below the estimate's own rounding: no sum reaches a
+        # tolerance below an ulp of its value
+        res = sum_over_integers(lambda m: 1.0 if m == 0 else 0.0,
+                                policy=TruncationPolicy(sum_tail_tol=1e-30))
+        assert res.value == 1.0
+        assert not res.converged
+        assert res.abs_error_estimate >= math.ulp(1.0)
+
     def test_algebraic_tail_coth(self):
         # sum 1/(1+m^2) = pi coth(pi); algebraic decay stresses the tail fit
         res = sum_over_integers(
