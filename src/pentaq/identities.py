@@ -907,7 +907,7 @@ def equivalence_check_gamma_rhs(p: GammaParams) -> VerificationReport:
 def _beta_integrand(p: BetaParams, resolved: bool):
     a = np.array(p.a, dtype=complex)[:, None]
     b = np.array(p.b, dtype=complex)[:, None]
-    center = sum(log_gamma(p.a[i] + p.b[i]) for i in range(3))
+    center = sum(log_gamma(np.add(p.a, p.b)))
 
     def f(t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -950,12 +950,9 @@ def eval_beta_rhs(p: BetaParams, convention: str = "resolved") -> complex:
     if not _check_convention(convention):
         return (b_beta(p.a[0] + p.b[1], p.a[2] + p.b[0])
                 * b_beta(p.a[1] + p.b[0], p.a[2] + p.b[1]))
-    a, b = p.a, p.b
-    log_val = 0j
-    for i in range(3):
-        log_val += (log_gamma(a[i] + b[0]) + log_gamma(a[i] + b[1])
-                    - log_gamma(1 - a[i] - b[2]) - log_gamma(a[i] + b[i]))
-    return complex(np.exp(log_val))
+    a, b = np.array(p.a), p.b
+    lg = log_gamma(np.array([a + b[0], a + b[1], 1 - a - b[2], a + b]))
+    return complex(np.exp(sum(lg[0] + lg[1] - lg[2] - lg[3], 0j)))
 
 
 def verify_pentagon_beta(p: BetaParams,

@@ -286,8 +286,9 @@ def integrate_real_line(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
     ``tail_estimate`` is 0.  Odd powers such as (1 + u^2)^{-3/2} leave a
     kink at theta = +-pi/2 and converge only algebraically (262,144
     evaluations, error 2.4e-11).  A finite ``u_max`` keeps the nodes on an
-    integrand's support.  The map has scale 1: a caller whose integrand
-    lives on another scale L integrates L f(L u) instead.
+    integrand's support.  The map has scale 1: a sum of integrals whose
+    terms need other nodes maps them through :class:`TermGrid`'s
+    ``node_map``.
 
     ``conjugate_symmetric=True`` is the caller's promise that
     f(-u) = conj f(u), as for an integrand whose parameters are all real
@@ -478,8 +479,8 @@ class TermGrid:
     term m at the points; and ``node_map(nodes)``, which turns a call's
     nodes into the points at which the terms are evaluated and a weight by
     which each term's values are multiplied: a change of variables, such as
-    a scale u = L t with weight L on the real line, or a map of the circle
-    onto itself with its Jacobian.
+    the gamma sum-integral's u = delta sinh(4 asinh t) on the real line with
+    its derivative, or a map of the circle onto itself with its Jacobian.
 
     Every term gets the same nodes on an engine call (the call contract of
     :func:`_nested_trapezoid`), so the grid maps them once per call and

@@ -856,6 +856,24 @@ class TestBeta:
         assert eval_beta_rhs(p) == pytest.approx(
             eval_beta_rhs(p, "printed") * reflection, rel=1e-12)
 
+    def test_one_log_gamma_call_per_side(self, monkeypatch):
+        # the integrand's centre and the resolved product side each take
+        # one log_gamma call on an array
+        import pentaq.identities as identities
+
+        calls = []
+
+        def counting_log_gamma(z):
+            calls.append(np.shape(z))
+            return log_gamma(z)
+
+        monkeypatch.setattr(identities, "log_gamma", counting_log_gamma)
+        _beta_integrand(self.POINT, resolved=True)
+        assert calls == [(3,)]
+        calls.clear()
+        eval_beta_rhs(self.POINT)
+        assert calls == [(4, 3)]
+
     def test_resolved_lhs_matches_mpmath(self):
         p = self.POINT
         a, b = p.a, p.b
