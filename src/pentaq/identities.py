@@ -34,7 +34,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -251,30 +251,24 @@ def verify_classical_pentagon(x: float, y: float) -> VerificationReport:
 # hyperbolic pentagon
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _hyperbolic_scalars(p: HyperbolicParams) -> np.ndarray:
-    """The logs of the nine hyperbolic gammas of a point that do not depend
-    on u, from one log_hyperbolic_gamma call: the centre's three
-    gamma^(2)(a_i + b_i), then the product side's x_1, x_2, y_1, y_2,
-    x_1 + y_1 and x_2 + y_2, with x = (a_1 + b_2, a_2 + b_1) and
-    y = (a_3 + b_1, a_3 + b_2).  At this size the call costs its fixed
-    overhead, not its values, so the two sides share one: the first side
-    evaluated makes it, and the other reads the cached result.
-    verify_pentagon_hyperbolic clears the cache before its two sides, so
-    that every verification makes exactly one call."""
+def _hyperbolic_scalar_args(p: HyperbolicParams) -> np.ndarray:
+    """The nine arguments of a point's hyperbolic gammas that do not depend
+    on u: the centre's three a_i + b_i, then the product side's x_1, x_2,
+    y_1, y_2, x_1 + y_1 and x_2 + y_2, with x = (a_1 + b_2, a_2 + b_1) and
+    y = (a_3 + b_1, a_3 + b_2)."""
     a, b = p.a, p.b
     x = [a[0] + b[1], a[1] + b[0]]
     y = [a[2] + b[0], a[2] + b[1]]
-    args = np.array([a[0] + b[0], a[1] + b[1], a[2] + b[2], *x, *y,
+    return np.array([a[0] + b[0], a[1] + b[1], a[2] + b[2], *x, *y,
                      x[0] + y[0], x[1] + y[1]])
-    logs = log_hyperbolic_gamma(args, p.omega)
-    logs.flags.writeable = False
-    return logs
 
 
-def _hyperbolic_integrand(p: HyperbolicParams, center: complex):
-    """Vectorized integrand of the hyperbolic identity along u = i t;
-    ``center`` is the log of the product of gamma^(2)(a_i + b_i)."""
+def _hyperbolic_integrand(p: HyperbolicParams, scalars: list):
+    """Vectorized integrand of the hyperbolic identity along u = i t.  Its
+    first call appends the nine :func:`_hyperbolic_scalar_args` to its
+    nodes' kernels in one log_hyperbolic_gamma call and puts their logs in
+    ``scalars``, empty until then; the centre, the log of the product of
+    gamma^(2)(a_i + b_i), is the sum of the first three."""
     om = p.omega
     measure = 1.0 / np.sqrt(om.omega1 * om.omega2)
     a = np.asarray(p.a, dtype=complex)
@@ -285,16 +279,19 @@ def _hyperbolic_integrand(p: HyperbolicParams, center: complex):
 
     def f(t):
         t = np.asarray(t, dtype=float)
-        rows = log_hyperbolic_gamma(shift + sign * (1j * t.reshape(1, -1)),
-                                    om).reshape((6,) + t.shape)
-        return np.exp(sum(rows, -center)) * measure
+        args = (shift + sign * (1j * t.reshape(1, -1))).ravel()
+        extra = () if scalars else _hyperbolic_scalar_args(p)
+        logs = log_hyperbolic_gamma(np.concatenate([args, extra]), om)
+        scalars.extend(logs[args.size:])   # the nine, on the first call
+        rows = logs[:args.size].reshape((6,) + t.shape)
+        return np.exp(sum(rows, -sum(scalars[:3]))) * measure
 
     return f
 
 
 def eval_hyperbolic_lhs(p: HyperbolicParams,
                         policy: TruncationPolicy = DEFAULT_POLICY,
-                        ) -> QuadratureResult:
+                        scalars: list | None = None) -> QuadratureResult:
     """Contour integral of the three-kernel product along u = i t, t real,
     with measure dt / sqrt(omega1 omega2), over |t| <= 160 / kappa,
     kappa = 2 pi Re(1/omega1 + 1/omega2).
@@ -321,21 +318,30 @@ def eval_hyperbolic_lhs(p: HyperbolicParams,
     integral converges, and owns it as ``p.kappa``.  Beyond the window the
     exponentials of the integrand may overflow, so the nodes stay inside it.
 
-    The centre's three hyperbolic gammas come from the point's one scalar
-    call (:func:`_hyperbolic_scalars`), shared with the product side.
+    The nine hyperbolic gammas that do not depend on u, the centre's three
+    and the product side's six, ride in the integrand's first
+    log_hyperbolic_gamma call, which covers levels 0 to 2 of the rule
+    (``first_levels=3``): the integral almost never stops at level 1.  So
+    a verification that stops by level 2 makes one call, and one more per
+    deeper level.  Their logs go to ``scalars`` if given, an empty list,
+    which :func:`verify_pentagon_hyperbolic` hands to the product side.
     """
-    center = sum(_hyperbolic_scalars(p)[:3])
-    return integrate_real_line(_hyperbolic_integrand(p, center), policy,
-                               u_max=160 / p.kappa)
+    return integrate_real_line(
+        _hyperbolic_integrand(p, [] if scalars is None else scalars),
+        policy, u_max=160 / p.kappa, first_levels=3)
 
 
-def eval_hyperbolic_rhs(p: HyperbolicParams) -> complex:
+def eval_hyperbolic_rhs(p: HyperbolicParams,
+                        scalars: list | None = None) -> complex:
     """Two-kernel product side of the hyperbolic identity,
     B(x_1, y_1) B(x_2, y_2) with B(x, y) = gamma^(2)(x) gamma^(2)(y) /
-    gamma^(2)(x + y) as in :func:`pentaq.kernels.b_hyp`, from the point's
-    one scalar call (:func:`_hyperbolic_scalars`), shared with the
-    integral side."""
-    lx, ly, lxy = _hyperbolic_scalars(p)[3:].reshape(3, 2)
+    gamma^(2)(x + y) as in :func:`pentaq.kernels.b_hyp`, from the logs of
+    the nine :func:`_hyperbolic_scalar_args`: those that
+    :func:`eval_hyperbolic_lhs` put in ``scalars``, or else those of one
+    log_hyperbolic_gamma call of its own."""
+    scalars = scalars or log_hyperbolic_gamma(_hyperbolic_scalar_args(p),
+                                              p.omega)
+    lx, ly, lxy = np.reshape(scalars[3:], (3, 2))
     k1, k2 = np.exp(lx + ly - lxy)
     return complex(k1 * k2)
 
@@ -344,9 +350,9 @@ def verify_pentagon_hyperbolic(p: HyperbolicParams,
                                policy: TruncationPolicy = DEFAULT_POLICY,
                                ) -> VerificationReport:
     started = time.perf_counter()
-    _hyperbolic_scalars.cache_clear()
-    lhs_result = eval_hyperbolic_lhs(p, policy)
-    rhs = eval_hyperbolic_rhs(p)
+    scalars: list = []
+    lhs_result = eval_hyperbolic_lhs(p, policy, scalars)
+    rhs = eval_hyperbolic_rhs(p, scalars)
     return _make_report(
         IdentityId.HYPERBOLIC, p.to_record(), lhs_result.value, rhs, started,
         engine=lhs_result,
@@ -934,9 +940,13 @@ def eval_beta_lhs(p: BetaParams, policy: TruncationPolicy = DEFAULT_POLICY,
     ``"printed"`` integrates the three-beta-kernel product with Gamma(b_3-s)
     in the last slot, which decays like e^{-3 pi |t|}; under the balancing
     condition the two integrands differ by the factor pi / sin pi(b_3 - s).
+    On 300 ``sample_beta`` points the integral stopped at level 2 or 3,
+    never at 1, so its first integrand call covers levels 0 to 2
+    (``first_levels=3``).
     """
     resolved = _check_convention(convention)
-    return integrate_real_line(_beta_integrand(p, resolved), policy)
+    return integrate_real_line(_beta_integrand(p, resolved), policy,
+                               first_levels=3)
 
 
 def eval_beta_rhs(p: BetaParams, convention: str = "resolved") -> complex:

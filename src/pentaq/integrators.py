@@ -79,9 +79,9 @@ class TruncationPolicy:
                      "sum_tail_tol"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        # _level keeps each call's nodes for the life of the process,
-        # 64 * 2**c of them on call c, so the budget bounds that cache;
-        # DEFAULT_POLICY.doubled() asks for 14
+        # _level keeps each level's nodes for the life of the process,
+        # 32 * 2**j of them on level j >= 1, so the budget bounds that
+        # cache; DEFAULT_POLICY.doubled() asks for 14
         if not (isinstance(self.max_refinements, int)
                 and 1 <= self.max_refinements <= 16):
             raise ValueError("max_refinements must be an integer from 1 to 16")
@@ -124,18 +124,23 @@ class QuadratureResult:
 
 
 @functools.cache
-def _level(call: int, conjugate_symmetric: bool):
+def _level(call: int, conjugate_symmetric: bool, first_levels: int = 2):
     """The new nodes of :func:`_nested_trapezoid`'s ``call``-th integrand
-    call, computed once and shared by every integrand: levels 0 and 1 on
-    call 0, level call + 1 on every later call.  Returns the nodes x = k/n,
-    their weights under ``conjugate_symmetric`` (None without it), their
-    images on the unit circle, z = exp(2 pi i x), their
-    :func:`_line_images` on the whole line (theta_max = pi/2), as read-only
-    arrays, and the positions in x at which each level's nodes end.  A
-    call number is below ``TruncationPolicy.max_refinements``, at most 16,
-    so the cache holds at most 32 entries."""
+    call, computed once and shared by every integrand: levels 0 to
+    ``first_levels`` - 1 on call 0, level call + first_levels - 1 on every
+    later call.  Returns the nodes x = k/n, their weights under
+    ``conjugate_symmetric`` (None without it), their images on the unit
+    circle, z = exp(2 pi i x), their :func:`_line_images` on the whole line
+    (theta_max = pi/2), as read-only arrays, and the positions in x at
+    which each level's nodes end.  A later call of the three-level path
+    returns the entry of the two-level call on the same level, so the
+    cache holds one node set per level and first call: at most 17 per
+    value of ``conjugate_symmetric``, as a level is at most
+    ``TruncationPolicy.max_refinements``, at most 16."""
+    if call and first_levels > 2:
+        return _level(call + first_levels - 2, conjugate_symmetric)
     xs, ws = [], []
-    for refinements in (0, 1) if call == 0 else (call + 1,):
+    for refinements in range(first_levels) if call == 0 else (call + 1,):
         n = _FIRST_NODES << refinements
         k = np.arange(1, n, 2) if refinements else np.arange(n)
         if conjugate_symmetric:
@@ -159,10 +164,11 @@ def _line_images(x, theta_max: float):
 
 
 def _nested_trapezoid(g, policy: TruncationPolicy,
-                      conjugate_symmetric: bool = False) -> QuadratureResult:
+                      conjugate_symmetric: bool = False,
+                      first_levels: int = 2) -> QuadratureResult:
     """Mean of a 1-periodic function by the trapezoid rule on the nodes k/n,
-    n = 64, 128, 256, ...; ``g(c)`` returns its values at the new nodes of
-    call c, ``_level(c, conjugate_symmetric)[0]``.
+    n = 64, 128, 256, ...; ``g(level)``, given a call's :func:`_level`
+    entry, returns its values at that call's new nodes ``level[0]``.
 
     Level 0 evaluates all 64 nodes; each doubling to 2n evaluates only the
     n new odd nodes (2k + 1)/2n and adds their sum to the running total,
@@ -193,28 +199,37 @@ def _nested_trapezoid(g, policy: TruncationPolicy,
     nodes, mirrors included.
 
     Call contract, which both quadratures and :class:`TermGrid` follow:
-    ``g`` is called with c = 0, 1, ... in turn.  Level 0 never stops the
-    rule (there is no level to compare it with), and ``TruncationPolicy``
-    allows at least one doubling, so call 0 covers levels 0 and 1
-    together: the 64 nodes, then the 64 odd nodes of 128.  Call c >= 1
-    covers level c + 1 alone.  Level j's new nodes are, in increasing
-    order, the nodes of 64 * 2**j that level j - 1 lacks, or with
-    ``conjugate_symmetric`` those of them in [0, 1/2] (33 + 32 nodes on
-    call 0).  Node 0 is evaluated like any other.  The values are summed
-    level by level, so the result is that of one call per level whenever
-    ``g``'s value at a node does not depend on the other nodes of its
-    call.  ``g`` is called no more after the call whose level stops the
-    rule, by either stop: no call only confirms the level before.  Both
-    quadratures pass their integrand one array per call, the images of the
-    call's new nodes.  The circle's and the whole line's images are cached
-    in :func:`_level`, so every term of a sum-integral gets the same array
-    on its c-th call, and :class:`TermGrid` finds a term's rows by counting
-    its calls.
+    ``g`` is called on calls c = 0, 1, ... in turn, each time with the
+    call's entry ``_level(c, conjugate_symmetric, first_levels)``.  Level
+    0 never stops the rule (there is no level to compare it with), and
+    ``TruncationPolicy`` allows at least one doubling, so call 0 covers
+    levels 0 and 1 together: the 64 nodes, then the 64 odd nodes of 128.
+    With ``first_levels=3`` it covers level 2 too, the 128 odd nodes of
+    256, where the budget allows two doublings (the rule cuts
+    ``first_levels`` to ``policy.max_refinements + 1``, so no call passes
+    the budget).  That saves a call where an integral almost never stops
+    at level 1, as a single integral of the hyperbolic or beta pentagon,
+    and wastes level 2 where it does: the integrand has then seen 256
+    nodes (129 with ``conjugate_symmetric``) while ``evaluations`` reads
+    128.  Call c >= 1 covers level c + first_levels - 1 alone.  Level j's
+    new nodes are, in increasing order, the nodes of 64 * 2**j that level
+    j - 1 lacks, or with ``conjugate_symmetric`` those of them in
+    [0, 1/2] (33 + 32 nodes on a two-level call 0).  Node 0 is evaluated
+    like any other.  The values are summed level by level, so the result
+    is that of one call per level whenever ``g``'s value at a node does
+    not depend on the other nodes of its call.  ``g`` is called no more
+    after the call whose level stops the rule, by either stop: no call
+    only confirms the level before.  Both quadratures pass their
+    integrand one array per call, the images of the call's new nodes.
+    The circle's and the whole line's images are cached in
+    :func:`_level`, so every term of a sum-integral gets the same array
+    on its c-th call, and :class:`TermGrid` finds a term's rows by
+    counting its calls.
     """
     # level 0 has no predecessor; its difference from nan never converges,
     # and level 1's ratio to that nan never stops the geometric test
     total, prev, prev_err = 0j, math.nan, math.nan
-    levels = _level_values(g, policy, conjugate_symmetric)
+    levels = _level_values(g, policy, conjugate_symmetric, first_levels)
     for refinements, values, weights in levels:
         n = _FIRST_NODES << refinements
         if conjugate_symmetric:
@@ -251,14 +266,18 @@ def _nested_trapezoid(g, policy: TruncationPolicy,
     )
 
 
-def _level_values(g, policy: TruncationPolicy, conjugate_symmetric: bool):
+def _level_values(g, policy: TruncationPolicy, conjugate_symmetric: bool,
+                  first_levels: int = 2):
     """Each level's number, values and weights in turn, for levels 0 to
-    ``policy.max_refinements``: one ``g`` call on levels 0 and 1 together,
+    ``policy.max_refinements``: one ``g`` call on levels 0 to
+    ``first_levels`` - 1 together, or to 1 on a budget of one doubling,
     then one per level."""
+    first_levels = min(first_levels, policy.max_refinements + 1)
     refinements = 0
-    for call in range(policy.max_refinements):
-        values = g(call)
-        _, weights, _, _, ends = _level(call, conjugate_symmetric)
+    for call in range(policy.max_refinements + 2 - first_levels):
+        level = _level(call, conjugate_symmetric, first_levels)
+        values = g(level)
+        _, weights, _, _, ends = level
         start = 0
         for end in ends:
             yield (refinements, values[start:end],
@@ -269,7 +288,8 @@ def _level_values(g, policy: TruncationPolicy, conjugate_symmetric: bool):
 
 def integrate_real_line(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
                         u_max: float = math.inf,
-                        conjugate_symmetric: bool = False) -> QuadratureResult:
+                        conjugate_symmetric: bool = False,
+                        first_levels: int = 2) -> QuadratureResult:
     """Integral of `integrand` over |u| <= u_max, by default the whole line.
 
     u = tan(theta) maps it to theta in [-theta_max, theta_max],
@@ -297,18 +317,22 @@ def integrate_real_line(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
 
     ``integrand`` is called as :func:`_nested_trapezoid`'s call contract
     says, on the images u of each call's new nodes, which depend on
-    ``u_max`` alone.
+    ``u_max`` alone.  ``first_levels=3`` makes the first call cover levels
+    0 to 2 where ``policy`` allows two doublings: a single integral that
+    seldom stops at level 1 passes it, and :class:`TermGrid`'s inner
+    integrals, which mostly do, keep the default.
     """
     theta_max = math.atan(u_max)
 
-    def g(call):
-        x, _, _, line, _ = _level(call, conjugate_symmetric)
+    def g(level):
+        x, _, _, line, _ = level
         # a finite window maps per call: a cache keyed by u_max would grow
         # with each point
         u, weight = line if u_max == math.inf else _line_images(x, theta_max)
         return integrand(u) * weight
 
-    return _nested_trapezoid(g, policy, conjugate_symmetric)
+    return _nested_trapezoid(g, policy, conjugate_symmetric,
+                             first_levels=first_levels)
 
 
 def integrate_unit_circle(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
@@ -329,7 +353,7 @@ def integrate_unit_circle(integrand, policy: TruncationPolicy = DEFAULT_POLICY,
     says, on the images z of each call's new nodes.
     """
     return _nested_trapezoid(
-        lambda call: integrand(_level(call, conjugate_symmetric)[2]),
+        lambda level: integrand(level[2]),
         policy, conjugate_symmetric)
 
 

@@ -19,7 +19,6 @@ from pentaq.identities import (
     _gate,
     _gamma_step,
     _hyperbolic_integrand,
-    _hyperbolic_scalars,
     _index_prefactor,
     _index_step,
     _index_term_integrand,
@@ -158,18 +157,19 @@ class TestHyperbolic:
             base.rel_residual * abs(base.rhs), 1e-13)
 
     def test_one_gamma_call_per_batch(self, monkeypatch):
-        # log_hyperbolic_gamma takes one call per integrand call and one
-        # for the centre and the product side together, on every
-        # verification of a point, and each reaches log_qpoch_inf through
-        # its module binding: the benchmark's tracing rebinds the names, as
-        # done here
+        # log_hyperbolic_gamma takes one call per integrand call, and the
+        # first, on levels 0 to 2, also carries the nine values that do not
+        # depend on u, the centre's three and the product side's six: one
+        # call on a point that stops at level 2, two at level 3.  Each call
+        # reaches log_qpoch_inf through its module binding: the
+        # benchmark's tracing rebinds the names, as done here
         import pentaq.identities as identities
         import pentaq.integrators as integrators
         import pentaq.kernels as kernels
         import pentaq.special_functions as special_functions
 
         modules = (special_functions, integrators, kernels, identities)
-        context = ["scalars"]
+        context = ["alone"]
         gamma_calls, qpoch_calls, integrand_calls = [], [], []
 
         def rebind(original, wrapper):
@@ -198,37 +198,70 @@ class TestHyperbolic:
         def counting_gamma(u, omega):
             before = len(qpoch_calls)
             out = log_hyperbolic_gamma(u, omega)
-            gamma_calls.append((context[-1], len(qpoch_calls) - before))
+            gamma_calls.append((context[-1], np.size(u),
+                                len(qpoch_calls) - before))
             return out
 
-        def counting_integrand(p, center):
-            f = within("integrand", integrand(p, center))
+        def counting_integrand(p, scalars):
+            f = within("integrand", integrand(p, scalars))
 
             def g(t):
                 integrand_calls.append(np.size(t))
                 return f(t)
             return g
 
+        def clear():
+            for calls in (gamma_calls, qpoch_calls, integrand_calls):
+                calls.clear()
+
         rebind(log_qpoch_inf, counting_qpoch)
         rebind(log_hyperbolic_gamma, counting_gamma)
         monkeypatch.setattr(identities, "_hyperbolic_integrand",
                             counting_integrand)
+        for seed, levels in ((0, 2), (25, 3)):
+            p = sample_hyperbolic(np.random.default_rng(seed),
+                                  CRITERION_3_PAIRS[0])
+            # a second verification of the same point makes the same calls
+            for _ in range(2):
+                clear()
+                rep = verify_pentagon_hyperbolic(p)
+                engine = rep.truncation_diagnostics["integral"]
+                assert engine["refinements_used"] == levels
+                assert [(label, n) for label, _, n in gamma_calls] == [
+                    ("integrand", 2)] * (levels - 1)
+                # six values per node, and the nine on the first call
+                assert [size for _, size, _ in gamma_calls] == [
+                    6 * n + 9 * (i == 0) for i, n in enumerate(integrand_calls)]
+                assert sum(qpoch_calls) == 2 * (6 * sum(integrand_calls) + 9)
+                # the engine's nodes and nothing else
+                assert sum(integrand_calls) == engine["evaluations"]
+        # each side alone: the product side makes its own call on the nine
+        # values, and the integral side its integrand calls only
+        clear()
+        assert eval_hyperbolic_rhs(p) == rep.rhs
+        assert gamma_calls == [("alone", 9, 2)]
+        clear()
+        assert identities.eval_hyperbolic_lhs(p).value == rep.lhs
+        assert [label for label, _, _ in gamma_calls] == ["integrand"] * 2
+
+    def test_sides_called_through_module_bindings(self, monkeypatch):
+        # benchmarks/tracing.py times each side by rebinding its name in
+        # the identities module; a verification must call both rebound
+        # sides, once each, and give the same report
+        import pentaq.identities as identities
+
         p = sample_hyperbolic(np.random.default_rng(0), CRITERION_3_PAIRS[0])
-        # a second verification of the same point makes the same calls
-        for _ in range(2):
-            gamma_calls.clear()
-            qpoch_calls.clear()
-            integrand_calls.clear()
-            rep = verify_pentagon_hyperbolic(p)
-            labels = [label for label, _ in gamma_calls]
-            assert labels == ["scalars"] + ["integrand"] * len(integrand_calls)
-            assert [n for _, n in gamma_calls] == [2] * len(gamma_calls)
-            # six values per node, three for the centre and six for the
-            # product side
-            assert sum(qpoch_calls) == 2 * (6 * sum(integrand_calls) + 9)
-            engine = rep.truncation_diagnostics["integral"]["evaluations"]
-            # the engine's nodes and nothing else
-            assert sum(integrand_calls) == engine
+        plain = verify_pentagon_hyperbolic(p).to_record()
+        calls = []
+        for name in ("eval_hyperbolic_lhs", "eval_hyperbolic_rhs"):
+            def counted(*args, name=name, side=getattr(identities, name)):
+                calls.append(name)
+                return side(*args)
+            monkeypatch.setattr(identities, name, counted)
+        traced = verify_pentagon_hyperbolic(p).to_record()
+        assert calls == ["eval_hyperbolic_lhs", "eval_hyperbolic_rhs"]
+        plain.pop("wall_time"), traced.pop("wall_time")
+        assert traced == plain
 
     def test_product_side_equals_two_b_hyp_kernels(self, rng, omega):
         # the product side read off the point's shared scalar call is the
@@ -247,8 +280,9 @@ class TestHyperbolic:
         import pentaq.identities as identities
 
         seen = []
-        monkeypatch.setattr(identities, "integrate_real_line",
-                            lambda f, policy, u_max: seen.append((f, u_max)))
+        monkeypatch.setattr(
+            identities, "integrate_real_line",
+            lambda f, policy, u_max, first_levels: seen.append((f, u_max)))
         for seed in range(3):
             p = sample_hyperbolic(np.random.default_rng(seed), omega)
             identities.eval_hyperbolic_lhs(p)
@@ -766,15 +800,18 @@ class TestTermGrid:
 
 
 def _hyperbolic_point_integrand(seed):
+    """A hyperbolic integrand whose first call, the test's full array, also
+    evaluates the nine values that do not depend on u, as in a
+    verification."""
     p = sample_hyperbolic(np.random.default_rng(seed),
                           CRITERION_3_PAIRS[seed % 3])
-    return _hyperbolic_integrand(p, sum(_hyperbolic_scalars(p)[:3]))
+    return _hyperbolic_integrand(p, [])
 
 
 class TestNodeIndependence:
     # an integrand's value at a node does not depend on the other nodes of
-    # its call, so the engines' first call, on levels 0 and 1 together,
-    # gives the values of one call per level
+    # its call, so the engines' first call, on levels 0 and 1 (or 0 to 2)
+    # together, gives the values of one call per level
     @pytest.mark.parametrize("make, nodes", [
         (lambda seed: _gamma_term_integrand(
             sample_gamma(np.random.default_rng(seed)), seed - 1, True),

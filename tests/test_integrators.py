@@ -1,5 +1,6 @@
 """Adaptive real-line, unit-circle, and bilateral-sum engines."""
 
+import itertools
 import math
 from dataclasses import asdict
 
@@ -109,30 +110,40 @@ class TestRealLine:
     @pytest.mark.parametrize("u_max", [8.0, math.inf])
     def test_levels_nest(self, u_max):
         # each doubling evaluates only the new odd nodes, and the first
-        # call covers levels 0 and 1; level 0 holds u = 0 and the endpoint
-        # u = -u_max (tan(-pi/2) on the whole line)
-        seen = []
+        # call covers levels 0 and 1, or 0 to 2 with first_levels=3; level
+        # 0 holds u = 0 and the endpoint u = -u_max (tan(-pi/2) on the
+        # whole line)
+        results = []
+        for first_levels in (2, 3):
+            seen = []
 
-        def f(u):
-            seen.append(u)
-            return np.exp(-(u**2))
+            def f(u):
+                seen.append(u)
+                return np.exp(-(u**2))
 
-        res = integrate_real_line(f, u_max=u_max)
-        r = res.refinements_used
-        N = _FIRST_NODES
-        assert res.evaluations == N * 2**r
-        # call 0 passes levels 0 and 1, N + N nodes, and call c level
-        # c + 1's new nodes, 2N, 4N, ...; the integrand sees no other value
-        assert [lv.size for lv in seen] == [2 * N] + [N // 2 * 2**j
-                                                      for j in range(2, r + 1)]
-        nodes = np.concatenate(seen)
-        assert nodes.size == res.evaluations
-        assert np.all(np.isfinite(nodes)) and np.all(np.abs(nodes) <= u_max)
-        assert np.unique(nodes).size == nodes.size
-        assert seen[0][N // 2] == 0
-        assert seen[0][0] == np.tan(-math.atan(u_max)) == nodes.min()
-        assert res.value == pytest.approx(math.sqrt(math.pi), rel=0,
-                                          abs=1e-13)
+            res = integrate_real_line(f, u_max=u_max,
+                                      first_levels=first_levels)
+            results.append(res)
+            r = res.refinements_used
+            N = _FIRST_NODES
+            assert res.evaluations == N * 2**r
+            # call 0 passes levels 0 to first_levels - 1, N + N (+ 2N)
+            # nodes, and each later call the next level's new nodes, 2N,
+            # 4N, ...; the integrand sees no other value.  On [-8, 8] the
+            # rule stops at level 1, so a three-level first call has seen
+            # 4N nodes, 2N of them counted
+            assert [lv.size for lv in seen] == [N << first_levels - 1] + [
+                N // 2 * 2**j for j in range(first_levels, r + 1)]
+            nodes = np.concatenate(seen)
+            assert nodes.size == max(res.evaluations, N << first_levels - 1)
+            assert np.all(np.isfinite(nodes))
+            assert np.all(np.abs(nodes) <= u_max)
+            assert np.unique(nodes).size == nodes.size
+            assert seen[0][N // 2] == 0
+            assert seen[0][0] == np.tan(-math.atan(u_max)) == nodes.min()
+            assert res.value == pytest.approx(math.sqrt(math.pi), rel=0,
+                                              abs=1e-13)
+        assert results[0] == results[1]
 
     def test_tighter_policy_does_not_hurt(self):
         loose = integrate_real_line(lambda u: 1 / (1 + u**2))
@@ -300,11 +311,11 @@ def _one_call_per_level(h, policy, conjugate_symmetric):
     return _stops(levels(), policy)
 
 
-def _difference_stop(g, policy, conjugate_symmetric=False):
+def _difference_stop(g, policy, conjugate_symmetric=False, first_levels=2):
     """``_nested_trapezoid`` with the difference stop alone, on the same
     integrand calls."""
-    return _stops(_level_values(g, policy, conjugate_symmetric), policy,
-                  geometric=False)
+    return _stops(_level_values(g, policy, conjugate_symmetric, first_levels),
+                  policy, geometric=False)
 
 
 class TestFirstCall:
@@ -319,28 +330,36 @@ class TestFirstCall:
                              ids=["full", "half"])
     def test_matches_one_call_per_level(self, rho, max_refinements, stop,
                                         conjugate_symmetric):
-        # every result field, bit for bit
-        policy = TruncationPolicy(max_refinements=max_refinements)
-
+        # every result field, bit for bit, with a first call on two levels
+        # or on three, on the case's budget and cut to one and two
+        # doublings
         def h(x):
             return 1 / (1 - rho * np.exp(2j * np.pi * x))
 
-        calls = []
+        for first_levels, budget in itertools.product(
+                (2, 3), (max_refinements, 1, 2)):
+            policy = TruncationPolicy(max_refinements=budget)
+            calls = []
 
-        def g(call):
-            calls.append(call)
-            return h(_level(call, conjugate_symmetric)[0])
+            def g(level):
+                calls.append(len(level[4]))   # the levels it covers
+                return h(level[0])
 
-        res = _nested_trapezoid(g, policy, conjugate_symmetric)
-        assert asdict(res) == asdict(
-            _one_call_per_level(h, policy, conjugate_symmetric))
-        if stop is None:
-            assert not res.converged
-            assert res.refinements_used == max_refinements
-        else:
-            assert res.converged and res.refinements_used == stop
-        # levels 0 and 1 share call 0; each later level has a call
-        assert calls == list(range(res.refinements_used))
+            res = _nested_trapezoid(g, policy, conjugate_symmetric,
+                                    first_levels)
+            case = (first_levels, budget)
+            assert asdict(res) == asdict(
+                _one_call_per_level(h, policy, conjugate_symmetric)), case
+            if stop is None or stop > budget:
+                assert not res.converged, case
+                assert res.refinements_used == budget, case
+            else:
+                assert res.converged and res.refinements_used == stop, case
+            # call 0 covers levels 0 to first_levels - 1, but no level past
+            # the budget; each later level has a call
+            first = min(first_levels, budget + 1)
+            assert calls == [first] + [1] * (res.refinements_used - first
+                                             + 1), case
 
 
 def _both_rules(monkeypatch, compute):
@@ -350,8 +369,10 @@ def _both_rules(monkeypatch, compute):
     for rule in (_nested_trapezoid, _difference_stop):
         results = []
 
-        def recording(g, policy, conjugate_symmetric=False, rule=rule):
-            results.append(rule(g, policy, conjugate_symmetric))
+        def recording(g, policy, conjugate_symmetric=False, first_levels=2,
+                      rule=rule):
+            results.append(rule(g, policy, conjugate_symmetric,
+                                first_levels))
             return results[-1]
 
         monkeypatch.setattr(integrators, "_nested_trapezoid", recording)
